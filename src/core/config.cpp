@@ -25,12 +25,6 @@ bool parse_u64(std::string_view v, std::uint64_t* out) {
   return res.ec == std::errc{} && res.ptr == end;
 }
 
-bool parse_f64(std::string_view v, double* out) {
-  const auto* end = v.data() + v.size();
-  const auto res = std::from_chars(v.data(), end, *out);
-  return res.ec == std::errc{} && res.ptr == end;
-}
-
 bool parse_onoff(std::string_view v, bool* out) {
   if (v == "on" || v == "true" || v == "1") {
     *out = true;
@@ -152,80 +146,6 @@ ParsedConfig parse_config(std::string_view text) {
       } else {
         fail("ft_seed must be a non-negative integer");
       }
-    } else if (key == "tier_policy") {
-      if (const auto p = tier::policy_from_string(value)) {
-        out.session.tier_policy = *p;
-      } else {
-        fail("tier_policy must be all_hbm/naive_swap/min_stall/knapsack");
-      }
-    } else if (key == "tier_hbm_bytes") {
-      std::uint64_t v = 0;
-      if (parse_u64(value, &v) && v > 0) {
-        out.session.tier_hbm_bytes = v;
-      } else {
-        fail("tier_hbm_bytes must be a positive integer");
-      }
-    } else if (key == "tier_prefetch_depth") {
-      std::uint64_t v = 0;
-      if (parse_u64(value, &v) && v <= 64) {
-        out.session.tier_prefetch_depth = static_cast<std::size_t>(v);
-      } else {
-        fail("tier_prefetch_depth must be in [0, 64]");
-      }
-    } else if (key == "serve_arrival") {
-      if (const auto a = serve::arrival_from_string(value)) {
-        out.session.serve_arrival = *a;
-      } else {
-        fail("serve_arrival must be poisson/bursty/trace");
-      }
-    } else if (key == "serve_rate") {
-      double v = 0.0;
-      if (parse_f64(value, &v) && v > 0.0) {
-        out.session.serve_rate = v;
-      } else {
-        fail("serve_rate must be a positive number (requests/second)");
-      }
-    } else if (key == "serve_slo_ms") {
-      double v = 0.0;
-      if (parse_f64(value, &v) && v > 0.0) {
-        out.session.serve_slo_ms = v;
-      } else {
-        fail("serve_slo_ms must be a positive number (milliseconds)");
-      }
-    } else if (key == "serve_sessions") {
-      std::uint64_t v = 0;
-      if (parse_u64(value, &v) && v > 0) {
-        out.session.serve_sessions = static_cast<std::size_t>(v);
-      } else {
-        fail("serve_sessions must be a positive integer");
-      }
-    } else if (key == "fabric_nodes") {
-      std::uint64_t v = 0;
-      if (parse_u64(value, &v) && v >= 1 && v <= 64) {
-        out.session.fabric_nodes = static_cast<std::uint32_t>(v);
-      } else {
-        fail("fabric_nodes must be in [1, 64]");
-      }
-    } else if (key == "fabric_pool_bytes") {
-      std::uint64_t v = 0;
-      if (parse_u64(value, &v) && v > 0) {
-        out.session.fabric_pool_bytes = v;
-      } else {
-        fail("fabric_pool_bytes must be a positive integer");
-      }
-    } else if (key == "fabric_port_gbps") {
-      double v = 0.0;
-      if (parse_f64(value, &v) && v > 0.0) {
-        out.session.fabric_port_gbps = v;
-      } else {
-        fail("fabric_port_gbps must be a positive number (GB/s)");
-      }
-    } else if (key == "fabric_reduce") {
-      if (const auto s = fabric::reduce_from_string(value)) {
-        out.session.fabric_reduce = *s;
-      } else {
-        fail("fabric_reduce must be dba_merge/pool_staging/per_link");
-      }
     } else if (key == "obs_jsonl_path") {
       out.session.obs_jsonl_path = std::string(value);
     } else if (key == "obs_trace_path") {
@@ -287,17 +207,6 @@ std::string to_config_text(const SessionConfig& cfg) {
   os << "ft_mode = " << to_string(cfg.ft_mode) << "\n";
   os << "ft_checkpoint_interval = " << cfg.ft_checkpoint_interval << "\n";
   os << "ft_seed = " << cfg.ft_seed << "\n";
-  os << "tier_policy = " << tier::to_string(cfg.tier_policy) << "\n";
-  os << "tier_hbm_bytes = " << cfg.tier_hbm_bytes << "\n";
-  os << "tier_prefetch_depth = " << cfg.tier_prefetch_depth << "\n";
-  os << "serve_arrival = " << serve::to_string(cfg.serve_arrival) << "\n";
-  os << "serve_rate = " << cfg.serve_rate << "\n";
-  os << "serve_slo_ms = " << cfg.serve_slo_ms << "\n";
-  os << "serve_sessions = " << cfg.serve_sessions << "\n";
-  os << "fabric_nodes = " << cfg.fabric_nodes << "\n";
-  os << "fabric_pool_bytes = " << cfg.fabric_pool_bytes << "\n";
-  os << "fabric_port_gbps = " << cfg.fabric_port_gbps << "\n";
-  os << "fabric_reduce = " << fabric::to_string(cfg.fabric_reduce) << "\n";
   // Empty path values round-trip as absent lines: the parser treats a
   // missing key as the default, and "key =" would read back as "".
   if (!cfg.obs_jsonl_path.empty()) {

@@ -35,44 +35,6 @@ std::string_view to_string(FtMode m) {
   __builtin_unreachable();
 }
 
-tier::PlannerConfig tier_planner_config(const SessionConfig& cfg) {
-  tier::PlannerConfig p;
-  p.policy = cfg.tier_policy;
-  p.hbm_bytes = cfg.tier_hbm_bytes;
-  p.giant_cache_bytes = cfg.giant_cache_capacity;
-  p.prefetch_depth = cfg.tier_prefetch_depth;
-  return p;
-}
-
-serve::ServeConfig serve_config(const SessionConfig& cfg) {
-  serve::ServeConfig s;
-  s.arrival = cfg.serve_arrival;
-  s.rate_rps = cfg.serve_rate;
-  s.slo_ttft = sim::ms(cfg.serve_slo_ms);
-  s.max_sessions = cfg.serve_sessions;
-  // The KV tier shares the session's tiering knobs: one config file
-  // describes both the training and the serving timeline.
-  s.policy = cfg.tier_policy;
-  s.prefetch_depth = cfg.tier_prefetch_depth;
-  s.hbm_kv_bytes = cfg.tier_hbm_bytes;
-  return s;
-}
-
-fabric::FabricConfig fabric_config(const SessionConfig& cfg) {
-  fabric::FabricConfig f;
-  f.nodes = cfg.fabric_nodes;
-  f.pool_bytes = cfg.fabric_pool_bytes;
-  f.port_gbps = cfg.fabric_port_gbps;
-  f.reduce = cfg.fabric_reduce;
-  // Node links, DBA posture, and checking ride the session's knobs so one
-  // config file describes the single-node and the pooled timeline.
-  f.node_phy = cfg.phy;
-  f.dba_enabled = cfg.dba_enabled;
-  f.dirty_bytes = cfg.dirty_bytes;
-  f.check = cfg.check != check::CheckLevel::kOff;
-  return f;
-}
-
 Session::Session(SessionConfig cfg)
     : cfg_(cfg), trace_(cfg.enable_trace),
       link_(std::make_unique<cxl::Link>(cfg.phy)),

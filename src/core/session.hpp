@@ -29,7 +29,6 @@
 
 #include "check/protocol_checker.hpp"
 #include "coherence/giant_cache.hpp"
-#include "fabric/fabric.hpp"
 #include "coherence/home_agent.hpp"
 #include "cxl/link.hpp"
 #include "mc/hb_analyzer.hpp"
@@ -39,9 +38,7 @@
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/span.hpp"
-#include "serve/serve.hpp"
 #include "sim/trace.hpp"
-#include "tier/placement_planner.hpp"
 
 namespace teco::core {
 
@@ -91,36 +88,6 @@ struct SessionConfig {
   /// instead of silently wrapping into already-mapped regions.
   std::uint64_t addr_space_bytes = 1ull << 48;
 
-  // --- Tensor tiering (teco::tier) ---
-  /// Placement policy for weights + activations across HBM / giant cache /
-  /// CXL DRAM. kAllHbm preserves the pre-tiering behavior (no migrations).
-  tier::Policy tier_policy = tier::Policy::kAllHbm;
-  /// Accelerator HBM capacity the planner fits into.
-  std::uint64_t tier_hbm_bytes = 32ull << 30;
-  /// Compute slots of lookahead the migration scheduler may prefetch.
-  std::size_t tier_prefetch_depth = 2;
-
-  // --- Inference serving (teco::serve) ---
-  /// Arrival-process shape for the serving runtime (poisson/bursty/trace).
-  serve::ArrivalKind serve_arrival = serve::ArrivalKind::kPoisson;
-  /// Offered load in requests per second.
-  double serve_rate = 32.0;
-  /// Time-to-first-token SLO in milliseconds (the per-token budget derives
-  /// from it; see serve::ServeConfig::effective_slo_tpot).
-  double serve_slo_ms = 250.0;
-  /// Admission capacity: concurrent sessions beyond this are rejected.
-  std::size_t serve_sessions = 1024;
-
-  // --- Pooled fabric (teco::fabric) ---
-  /// Data-parallel nodes sharing the pooled-memory switch.
-  std::uint32_t fabric_nodes = 2;
-  /// DCD-carveable pooled-memory capacity behind the switch.
-  std::uint64_t fabric_pool_bytes = 8ull << 20;
-  /// Shared pool-port bandwidth per direction, GB/s.
-  double fabric_port_gbps = 16.0;
-  /// In-pool all-reduce strategy (dba_merge / pool_staging / per_link).
-  fabric::ReduceStrategy fabric_reduce = fabric::ReduceStrategy::kDbaMerge;
-
   // --- Telemetry (teco::obs) ---
   /// When non-empty, one JSONL line of registry deltas per training step.
   std::string obs_jsonl_path;
@@ -139,20 +106,6 @@ struct SessionConfig {
   /// TraceBuffer span cap; overflow is counted in obs.trace.dropped_spans.
   std::size_t obs_trace_max_spans = obs::TraceBuffer::kDefaultMaxSpans;
 };
-
-/// The tier::PlannerConfig a session's knobs describe (the giant-cache
-/// share reuses giant_cache_capacity).
-tier::PlannerConfig tier_planner_config(const SessionConfig& cfg);
-
-/// The serve::ServeConfig a session's knobs describe: the serve_* keys map
-/// directly, and the KV tiering reuses the session's tier_policy /
-/// tier_prefetch_depth so one config file drives both timelines.
-serve::ServeConfig serve_config(const SessionConfig& cfg);
-
-/// The fabric::FabricConfig a session's knobs describe: the fabric_* keys
-/// map directly; the node links reuse the session's PHY, DBA posture, and
-/// checking level so one config file drives single-node and pooled runs.
-fabric::FabricConfig fabric_config(const SessionConfig& cfg);
 
 class Session {
  public:

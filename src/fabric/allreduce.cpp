@@ -234,9 +234,12 @@ void PoolAllReduce::pump_streams(sim::Time start,
                                  const std::vector<std::uint32_t>& nodes,
                                  StreamOp op, std::uint8_t tag) {
   const std::uint64_t lines = cfg_.shard_bytes / mem::kLineBytes;
+  // Queued events own the pump; it holds only a weak reference to itself,
+  // so it is freed with the last pumped line instead of leaking a cycle.
   auto pump =
       std::make_shared<std::function<void(std::uint32_t, std::uint64_t)>>();
-  *pump = [this, op, lines, pump, tag](std::uint32_t n, std::uint64_t line) {
+  *pump = [this, op, lines, self = std::weak_ptr(pump), tag](
+              std::uint32_t n, std::uint64_t line) {
     shard_.assert_held();
     const sim::Time now = eq_.now();
     const auto d = (this->*op)(n, line, now);
@@ -246,7 +249,8 @@ void PoolAllReduce::pump_streams(sim::Time start,
     sim::Time next = now;
     if (d.has_value() && d->accepted > next) next = d->accepted;
     sim::TagScope ts(eq_, tag);
-    eq_.schedule_at(next, [pump, n, line] { (*pump)(n, line + 1); });
+    eq_.schedule_at(next,
+                    [pump = self.lock(), n, line] { (*pump)(n, line + 1); });
   };
   sim::TagScope ts(eq_, tag);
   for (const std::uint32_t n : nodes) {

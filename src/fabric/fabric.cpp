@@ -11,11 +11,4 @@ std::string_view to_string(ReduceStrategy s) {
   return "?";
 }
 
-std::optional<ReduceStrategy> reduce_from_string(std::string_view s) {
-  if (s == "dba_merge") return ReduceStrategy::kDbaMerge;
-  if (s == "pool_staging") return ReduceStrategy::kPoolStaging;
-  if (s == "per_link") return ReduceStrategy::kPerLink;
-  return std::nullopt;
-}
-
 }  // namespace teco::fabric

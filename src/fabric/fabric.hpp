@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 #include "cxl/phy.hpp"
@@ -43,10 +42,6 @@ enum class ReduceStrategy : std::uint8_t {
 };
 
 std::string_view to_string(ReduceStrategy s);
-
-/// Parse "dba_merge" / "pool_staging" / "per_link"; nullopt on anything
-/// else (the config layer turns that into a per-line error).
-std::optional<ReduceStrategy> reduce_from_string(std::string_view s);
 
 struct FabricConfig {
   std::uint32_t nodes = 2;

@@ -3,34 +3,14 @@
 #include <algorithm>
 
 #include "cxl/channel.hpp"
-#include "cxl/packet.hpp"
 #include "mem/address.hpp"
+#include "offload/runtime.hpp"
 
 namespace teco::md {
 
 namespace {
 
-using cxl::Channel;
 using sim::Time;
-
-Time stream_lines(Channel& ch, Time t_start, Time window, std::uint64_t bytes,
-                  std::uint32_t line_payload, std::size_t chunks) {
-  const std::uint64_t lines = (bytes + mem::kLineBytes - 1) / mem::kLineBytes;
-  if (lines == 0) return t_start;
-  const auto pkt =
-      cxl::data_packet(cxl::MessageType::kFlushData, 0, line_payload);
-  Time last = t_start;
-  std::uint64_t sent = 0;
-  for (std::size_t i = 0; i < chunks; ++i) {
-    const std::uint64_t upto = lines * (i + 1) / chunks;
-    if (upto == sent) continue;
-    const Time ready = t_start + window * static_cast<double>(i + 1) /
-                                     static_cast<double>(chunks);
-    last = ch.submit_stream(ready, pkt, upto - sent).delivered;
-    sent = upto;
-  }
-  return last;
-}
 
 }  // namespace
 
@@ -55,15 +35,14 @@ MdStepBreakdown simulate_md_step(MdMode mode, const MdWorkload& w,
     return b;
   }
 
-  Channel up("cxl-up", cal.phy.cxl_bandwidth(), cal.phy.packet_latency,
-             cal.cxl_queue_entries);
-  Channel down("cxl-down", cal.phy.cxl_bandwidth(), cal.phy.packet_latency,
-               cal.cxl_queue_entries);
+  auto [up, down] = offload::step_channels(offload::RuntimeKind::kTecoCxl, cal);
 
   // Force lines stream up as the kernel writes them back.
+  const std::uint64_t vec_lines =
+      (vec_bytes + mem::kLineBytes - 1) / mem::kLineBytes;
   const Time forces_done =
-      stream_lines(up, 0.0, b.force_compute, vec_bytes, mem::kLineBytes,
-                   cal.pacing_chunks);
+      offload::paced_line_stream(up, 0.0, b.force_compute, vec_lines,
+                                 mem::kLineBytes, cal.pacing_chunks);
   b.force_xfer_exposed = std::max(0.0, forces_done - b.force_compute);
 
   // Integration starts when forces landed; position lines stream down.
@@ -72,8 +51,9 @@ MdStepBreakdown simulate_md_step(MdMode mode, const MdWorkload& w,
       mode == MdMode::kTecoReduction
           ? static_cast<std::uint32_t>(mem::kWordsPerLine) * w.pos_dirty_bytes
           : static_cast<std::uint32_t>(mem::kLineBytes);
-  Time pos_done = stream_lines(down, int_start, b.integrate, vec_bytes,
-                               pos_payload, cal.pacing_chunks);
+  Time pos_done =
+      offload::paced_line_stream(down, int_start, b.integrate, vec_lines,
+                                 pos_payload, cal.pacing_chunks);
   if (mode == MdMode::kTecoReduction) pos_done += cal.dba_latency;
   b.pos_xfer_exposed = std::max(0.0, pos_done - (int_start + b.integrate));
 

@@ -13,7 +13,6 @@ namespace teco::offload {
 ActivationStepReport simulate_activation_step(
     const dl::ModelConfig& m, std::uint32_t batch, const Calibration& cal,
     const ActivationTimelineOptions& opts) {
-  const auto& phy = cal.phy;
   ActivationStepReport r;
   const StepInputs in = compute_step_inputs(m, batch, cal);
   r.profile = tier::profile_step(m, batch, cal);
@@ -34,10 +33,9 @@ ActivationStepReport simulate_activation_step(
   const tier::PlacementPlanner planner(pcfg, cal);
   r.plan = planner.plan(r.profile);
 
-  cxl::Channel up("cxl-up", phy.cxl_bandwidth(), phy.packet_latency,
-                  cal.cxl_queue_entries);
-  cxl::Channel down("cxl-down", phy.cxl_bandwidth(), phy.packet_latency,
-                    cal.cxl_queue_entries);
+  auto channels = step_channels(RuntimeKind::kTecoReduction, cal);
+  cxl::Channel& up = channels.first;
+  cxl::Channel& down = channels.second;
   sim::EventQueue q;
 
   // Gradient lines stream up the link as backward retires each layer
@@ -76,13 +74,9 @@ ActivationStepReport simulate_activation_step(
 
   // Parameter lines stream down as the Adam sweep writes them back, with
   // dirty-byte aggregation trimming the payload (Fig. 6 steps 1-2).
-  const std::uint32_t payload =
-      opts.dirty_bytes < 4
-          ? static_cast<std::uint32_t>(mem::kWordsPerLine) * opts.dirty_bytes
-          : static_cast<std::uint32_t>(mem::kLineBytes);
-  sim::Time params_done = paced_line_stream(
-      down, adam_start, in.adam, in.param_lines, payload, cal.pacing_chunks);
-  params_done += cal.dba_latency;
+  const sim::Time params_done =
+      param_phase(RuntimeKind::kTecoReduction, in, cal, down, adam_start,
+                  opts.dirty_bytes);
   r.param_transfer_exposed = std::max(0.0, params_done - opt_end);
 
   r.step_total = r.forward_backward + r.grad_transfer_exposed +

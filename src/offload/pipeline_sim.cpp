@@ -2,12 +2,9 @@
 
 #include <algorithm>
 
-#include "mem/address.hpp"
-
 namespace teco::offload {
 
 namespace {
-using cxl::Channel;
 using sim::Time;
 }  // namespace
 
@@ -31,22 +28,8 @@ PipelineResult simulate_pipeline(RuntimeKind kind,
   }
 
   const StepInputs in = compute_step_inputs(model, batch, cal);
-  const bool teco =
-      kind == RuntimeKind::kTecoCxl || kind == RuntimeKind::kTecoReduction;
   const bool dpu = kind == RuntimeKind::kZeroOffloadDpu;
-  const auto& phy = cal.phy;
-
-  Channel up("pipe-up", teco ? phy.cxl_bandwidth() : phy.dma_bandwidth(),
-             teco ? phy.packet_latency : phy.dma_setup_latency,
-             cal.cxl_queue_entries);
-  Channel down("pipe-down", teco ? phy.cxl_bandwidth() : phy.dma_bandwidth(),
-               teco ? phy.packet_latency : phy.dma_setup_latency,
-               cal.cxl_queue_entries);
-
-  const std::uint64_t param_payload =
-      kind == RuntimeKind::kTecoReduction && opts.dirty_bytes < 4
-          ? mem::kWordsPerLine * opts.dirty_bytes
-          : mem::kLineBytes;
+  auto [up, down] = step_channels(kind, cal);
 
   std::vector<Time> params_delivered(steps, 0.0);
   Time gpu_free = 0.0, cpu_free = 0.0, prev_end = 0.0;
@@ -68,61 +51,15 @@ PipelineResult simulate_pipeline(RuntimeKind kind,
     const Time bwd_end = bwd_start + in.backward;
     gpu_free = bwd_end;
 
-    // Gradients.
-    Time grads_done;
-    if (teco) {
-      grads_done = paced_line_stream(up, bwd_start, in.backward,
-                                     in.grad_lines, mem::kLineBytes,
-                                     cal.pacing_chunks);
-    } else {
-      const std::uint64_t n_flushes =
-          (in.grad_bytes + in.grad_buffer_bytes - 1) / in.grad_buffer_bytes;
-      grads_done = bwd_end;
-      std::uint64_t sent = 0;
-      for (std::uint64_t fl = 0; fl < n_flushes; ++fl) {
-        const std::uint64_t upto =
-            std::min(in.grad_bytes, (fl + 1) * in.grad_buffer_bytes);
-        const Time ready =
-            bwd_start + in.backward * static_cast<double>(upto) /
-                            static_cast<double>(in.grad_bytes);
-        grads_done =
-            up.submit(ready, cxl::data_packet(cxl::MessageType::kData, 0,
-                                              upto - sent))
-                .delivered;
-        sent = upto;
-      }
-    }
-
-    // CPU phases.
+    // CPU phases start once every gradient landed and the CPU is free.
+    const Time grads_done = grad_phase(kind, in, cal, up, bwd_start);
     const Time cpu_start = std::max({bwd_end, grads_done, cpu_free});
     const Time adam_start = cpu_start + in.grad_clip;
     const Time opt_end = adam_start + in.adam;
     cpu_free = opt_end;
 
-    // Parameter transfer.
-    if (teco) {
-      Time done = paced_line_stream(down, adam_start, in.adam,
-                                    in.param_lines, param_payload,
-                                    cal.pacing_chunks);
-      if (kind == RuntimeKind::kTecoReduction) done += cal.dba_latency;
-      params_delivered[i] = done;
-    } else {
-      const std::size_t chunks =
-          std::max<std::size_t>(1, cal.param_staging_chunks);
-      const double chunk_bytes =
-          static_cast<double>(in.param_bytes) / static_cast<double>(chunks);
-      const Time fill = chunk_bytes / cal.pinned_copy_bw;
-      Time done = opt_end;
-      for (std::size_t j = 0; j < chunks; ++j) {
-        const Time ready = opt_end + fill * static_cast<double>(j + 1);
-        done = down.submit(ready,
-                           cxl::data_packet(
-                               cxl::MessageType::kData, 0,
-                               static_cast<std::uint64_t>(chunk_bytes)))
-                   .delivered;
-      }
-      params_delivered[i] = done;
-    }
+    params_delivered[i] =
+        param_phase(kind, in, cal, down, adam_start, opts.dirty_bytes);
 
     // Step boundary: when this step's state is committed. Under DPU the
     // transfer spills into the next step by design.

@@ -12,8 +12,11 @@
 //    (gradients ride the uplink);
 //  * TECO runtimes: fences close each producer window as in the paper.
 //
-// The tests use it to verify that the steady-state single-step model and
-// the explicit pipeline agree.
+// Each step's transfers are the same grad_phase()/param_phase() calls
+// simulate_step() makes (runtime.hpp), on one step_channels() pair kept
+// across steps; only the cross-step dependencies live here. The tests pin
+// the first pipelined step to simulate_step() and the steady state to
+// within a few percent of it.
 #pragma once
 
 #include <cstdint>

@@ -40,9 +40,8 @@ Time paced_line_stream(Channel& ch, Time t_start, Time window,
 
 namespace {
 
-/// The one wire-accounting sink every runtime timeline ends with: fill the
-/// breakdown's totals from the channel stats and mirror them onto the
-/// registry when one is attached. Replaces three hand-rolled copies.
+/// Fill the breakdown's wire totals from the channel stats and mirror them
+/// onto the registry when one is attached.
 void harvest_wire(StepBreakdown& b, const Channel& up, const Channel& down,
                   obs::MetricsRegistry* reg) {
   b.bytes_to_cpu = up.stats().payload_bytes;
@@ -81,145 +80,9 @@ Time demand_fetch(const Calibration& cal, Channel& data_ch, Time t_start,
          static_cast<double>(total_lines) * mem::kLineBytes / eff_bw;
 }
 
-StepBreakdown simulate_zero_offload(const StepInputs& in,
-                                    const Calibration& cal, bool dpu,
-                                    obs::MetricsRegistry* reg) {
-  const auto& phy = cal.phy;
-  Channel up("dma-up", phy.dma_bandwidth(), phy.dma_setup_latency);
-  Channel down("dma-down", phy.dma_bandwidth(), phy.dma_setup_latency);
-
-  StepBreakdown b;
-  b.forward_backward = in.forward + in.backward;
-  const Time bwd_start = in.forward;
-  const Time bwd_end = in.forward + in.backward;
-
-  // Phase 3: the gradient buffer flushes whenever it fills during backward.
-  const std::uint64_t n_flushes =
-      (in.grad_bytes + in.grad_buffer_bytes - 1) / in.grad_buffer_bytes;
-  Time grads_done = bwd_end;
-  std::uint64_t sent = 0;
-  for (std::uint64_t i = 0; i < n_flushes; ++i) {
-    const std::uint64_t upto =
-        std::min(in.grad_bytes, (i + 1) * in.grad_buffer_bytes);
-    const std::uint64_t bytes = upto - sent;
-    sent = upto;
-    const Time ready =
-        bwd_start + in.backward * static_cast<double>(upto) /
-                        static_cast<double>(in.grad_bytes);
-    const auto pkt = cxl::data_packet(cxl::MessageType::kData, 0, bytes);
-    grads_done = up.submit(ready, pkt).delivered;
-  }
-
-  // Phases 4-5: CPU waits for every gradient before clipping (Section II-A).
-  const Time cpu_start = std::max(bwd_end, grads_done);
-  b.grad_transfer_exposed = cpu_start - bwd_end;
-  b.grad_optimizer = in.grad_clip;
-  b.param_optimizer = in.adam;
-  const Time opt_end = cpu_start + in.grad_clip + in.adam;
-
-  // Parameter transfer: double-buffer staging AFTER the optimizer. The
-  // pinned-buffer fill is fast; the DMA transfer is what's exposed.
-  const std::size_t chunks = std::max<std::size_t>(1, cal.param_staging_chunks);
-  const double chunk_bytes =
-      static_cast<double>(in.param_bytes) / static_cast<double>(chunks);
-  const Time fill_per_chunk = chunk_bytes / cal.pinned_copy_bw;
-  Time params_done = opt_end;
-  for (std::size_t j = 0; j < chunks; ++j) {
-    const Time ready = opt_end + fill_per_chunk * static_cast<double>(j + 1);
-    const auto pkt = cxl::data_packet(
-        cxl::MessageType::kData, 0, static_cast<std::uint64_t>(chunk_bytes));
-    params_done = down.submit(ready, pkt).delivered;
-  }
-  const Time param_xfer = params_done - opt_end;
-  if (dpu) {
-    // DPU overlaps the transfer with the NEXT step's forward+backward
-    // (steady state): only the overhang is exposed.
-    b.param_transfer_exposed = std::max(0.0, param_xfer - b.forward_backward);
-  } else {
-    b.param_transfer_exposed = param_xfer;
-  }
-
-  harvest_wire(b, up, down, reg);
-  return b;
-}
-
-StepBreakdown simulate_teco_update(const StepInputs& in,
-                                   const Calibration& cal, bool dba,
-                                   std::uint8_t dirty_bytes,
-                                   obs::MetricsRegistry* reg) {
-  const auto& phy = cal.phy;
-  Channel up("cxl-up", phy.cxl_bandwidth(), phy.packet_latency,
-             cal.cxl_queue_entries);
-  Channel down("cxl-down", phy.cxl_bandwidth(), phy.packet_latency,
-               cal.cxl_queue_entries);
-
-  StepBreakdown b;
-  b.forward_backward = in.forward + in.backward;
-  const Time bwd_end = in.forward + in.backward;
-
-  // Gradient lines stream up the link as the GPU writes them back during
-  // backward (Fig. 6 step 3); CXLFENCE() at loss.backward() completion.
-  const Time grads_done =
-      paced_line_stream(up, in.forward, in.backward, in.grad_lines,
-                        mem::kLineBytes, cal.pacing_chunks);
-  const Time cpu_start = std::max(bwd_end, grads_done);
-  b.grad_transfer_exposed = cpu_start - bwd_end;
-
-  b.grad_optimizer = in.grad_clip;
-  b.param_optimizer = in.adam;
-  const Time adam_start = cpu_start + in.grad_clip;
-  const Time opt_end = adam_start + in.adam;
-
-  // Parameter lines stream down as the vectorized Adam sweep writes them
-  // back (Fig. 6 steps 1-2); DBA trims each line's payload when active.
-  const std::uint32_t payload =
-      dba && dirty_bytes < 4
-          ? static_cast<std::uint32_t>(mem::kWordsPerLine) * dirty_bytes
-          : static_cast<std::uint32_t>(mem::kLineBytes);
-  Time params_done =
-      paced_line_stream(down, adam_start, in.adam, in.param_lines, payload,
-                        cal.pacing_chunks);
-  if (dba) params_done += cal.dba_latency;  // Pipelined Agg/Disagg stages.
-
-  // CXLFENCE() at the end of optimizer.step().
-  b.param_transfer_exposed = std::max(0.0, params_done - opt_end);
-
-  harvest_wire(b, up, down, reg);
-  return b;
-}
-
-StepBreakdown simulate_invalidation(const StepInputs& in,
-                                    const Calibration& cal,
-                                    obs::MetricsRegistry* reg) {
-  const auto& phy = cal.phy;
-  Channel up("cxl-up", phy.cxl_bandwidth(), phy.packet_latency,
-             cal.cxl_queue_entries);
-  Channel down("cxl-down", phy.cxl_bandwidth(), phy.packet_latency,
-               cal.cxl_queue_entries);
-
-  StepBreakdown b;
-  b.forward_backward = in.forward + in.backward;
-  const Time bwd_end = in.forward + in.backward;
-
-  // Device gradient writes invalidated the CPU copies; before the CPU can
-  // clip, it demand-fetches every gradient line — fully exposed.
-  const Time grads_done = demand_fetch(cal, up, bwd_end, in.grad_lines);
-  b.grad_transfer_exposed = grads_done - bwd_end;
-
-  b.grad_optimizer = in.grad_clip;
-  b.param_optimizer = in.adam;
-  const Time opt_end = grads_done + in.grad_clip + in.adam;
-  // Invalidations sent during the Adam sweep (control flits; cheap).
-  const Packet inv = cxl::control_packet(cxl::MessageType::kInvalidate, 0);
-  down.submit_stream(opt_end - in.adam, inv, in.param_lines);
-
-  // Next step's forward stalls on demand reads of every parameter line —
-  // the on-demand transfer the paper measures at +56.6 % training time.
-  const Time params_done = demand_fetch(cal, down, opt_end, in.param_lines);
-  b.param_transfer_exposed = params_done - opt_end;
-
-  harvest_wire(b, up, down, reg);
-  return b;
+bool uses_dma(RuntimeKind kind) {
+  return kind == RuntimeKind::kZeroOffload ||
+         kind == RuntimeKind::kZeroOffloadDpu;
 }
 
 }  // namespace
@@ -235,25 +98,127 @@ std::string_view to_string(RuntimeKind k) {
   __builtin_unreachable();
 }
 
+std::pair<Channel, Channel> step_channels(RuntimeKind kind,
+                                          const Calibration& cal) {
+  const auto& phy = cal.phy;
+  const bool dma = uses_dma(kind);
+  const sim::Bandwidth bw = dma ? phy.dma_bandwidth() : phy.cxl_bandwidth();
+  const Time latency = dma ? phy.dma_setup_latency : phy.packet_latency;
+  return {Channel(dma ? "dma-up" : "cxl-up", bw, latency,
+                  cal.cxl_queue_entries),
+          Channel(dma ? "dma-down" : "cxl-down", bw, latency,
+                  cal.cxl_queue_entries)};
+}
+
+Time grad_phase(RuntimeKind kind, const StepInputs& in, const Calibration& cal,
+                Channel& up, Time bwd_start) {
+  const Time bwd_end = bwd_start + in.backward;
+  if (uses_dma(kind)) {
+    // The GPU gradient buffer flushes whenever it fills during backward.
+    const std::uint64_t n_flushes =
+        (in.grad_bytes + in.grad_buffer_bytes - 1) / in.grad_buffer_bytes;
+    Time done = bwd_end;
+    std::uint64_t sent = 0;
+    for (std::uint64_t i = 0; i < n_flushes; ++i) {
+      const std::uint64_t upto =
+          std::min(in.grad_bytes, (i + 1) * in.grad_buffer_bytes);
+      const Time ready =
+          bwd_start + in.backward * static_cast<double>(upto) /
+                          static_cast<double>(in.grad_bytes);
+      done = up.submit(ready, cxl::data_packet(cxl::MessageType::kData, 0,
+                                               upto - sent))
+                 .delivered;
+      sent = upto;
+    }
+    return done;
+  }
+  if (kind == RuntimeKind::kCxlInvalidation) {
+    // Device gradient writes invalidated the CPU copies; before the CPU can
+    // clip, it demand-fetches every gradient line — fully exposed.
+    return demand_fetch(cal, up, bwd_end, in.grad_lines);
+  }
+  // Gradient lines stream up the link as the GPU writes them back during
+  // backward (Fig. 6 step 3).
+  return paced_line_stream(up, bwd_start, in.backward, in.grad_lines,
+                           mem::kLineBytes, cal.pacing_chunks);
+}
+
+Time param_phase(RuntimeKind kind, const StepInputs& in,
+                 const Calibration& cal, Channel& down, Time adam_start,
+                 std::uint8_t dirty_bytes) {
+  const Time opt_end = adam_start + in.adam;
+  if (uses_dma(kind)) {
+    // Double-buffer staging AFTER the optimizer. The pinned-buffer fill is
+    // fast; the DMA transfer is what's exposed.
+    const std::size_t chunks =
+        std::max<std::size_t>(1, cal.param_staging_chunks);
+    const double chunk_bytes =
+        static_cast<double>(in.param_bytes) / static_cast<double>(chunks);
+    const Time fill_per_chunk = chunk_bytes / cal.pinned_copy_bw;
+    const Packet pkt = cxl::data_packet(
+        cxl::MessageType::kData, 0, static_cast<std::uint64_t>(chunk_bytes));
+    Time done = opt_end;
+    for (std::size_t j = 0; j < chunks; ++j) {
+      done = down.submit(opt_end + fill_per_chunk * static_cast<double>(j + 1),
+                         pkt)
+                 .delivered;
+    }
+    return done;
+  }
+  if (kind == RuntimeKind::kCxlInvalidation) {
+    // Invalidations go out during the Adam sweep (control flits; cheap).
+    // The next forward then stalls on demand reads of every parameter line
+    // — the on-demand transfer the paper measures at +56.6 % training time.
+    down.submit_stream(
+        adam_start, cxl::control_packet(cxl::MessageType::kInvalidate, 0),
+        in.param_lines);
+    return demand_fetch(cal, down, opt_end, in.param_lines);
+  }
+  // Parameter lines stream down as the vectorized Adam sweep writes them
+  // back (Fig. 6 steps 1-2); DBA trims each line's payload and adds its
+  // pipelined Agg/Disagg stages.
+  const bool dba = kind == RuntimeKind::kTecoReduction;
+  const std::uint64_t payload = dba && dirty_bytes < 4
+                                    ? mem::kWordsPerLine * dirty_bytes
+                                    : mem::kLineBytes;
+  const Time done = paced_line_stream(down, adam_start, in.adam,
+                                      in.param_lines, payload,
+                                      cal.pacing_chunks);
+  return dba ? done + cal.dba_latency : done;
+}
+
 StepBreakdown simulate_step(RuntimeKind kind, const dl::ModelConfig& model,
                             std::uint32_t batch, const Calibration& cal,
                             const StepOptions& opts) {
   const StepInputs in = compute_step_inputs(model, batch, cal);
-  switch (kind) {
-    case RuntimeKind::kZeroOffload:
-      return simulate_zero_offload(in, cal, /*dpu=*/false, opts.metrics);
-    case RuntimeKind::kZeroOffloadDpu:
-      return simulate_zero_offload(in, cal, /*dpu=*/true, opts.metrics);
-    case RuntimeKind::kCxlInvalidation:
-      return simulate_invalidation(in, cal, opts.metrics);
-    case RuntimeKind::kTecoCxl:
-      return simulate_teco_update(in, cal, /*dba=*/false, opts.dirty_bytes,
-                                  opts.metrics);
-    case RuntimeKind::kTecoReduction:
-      return simulate_teco_update(in, cal, /*dba=*/true, opts.dirty_bytes,
-                                  opts.metrics);
-  }
-  return {};
+  auto [up, down] = step_channels(kind, cal);
+
+  StepBreakdown b;
+  b.forward_backward = in.forward + in.backward;
+  const Time bwd_end = b.forward_backward;
+
+  // CXLFENCE() at loss.backward() completion: the CPU clips only once every
+  // gradient has landed (Section II-A).
+  const Time cpu_start =
+      std::max(bwd_end, grad_phase(kind, in, cal, up, in.forward));
+  b.grad_transfer_exposed = cpu_start - bwd_end;
+
+  b.grad_optimizer = in.grad_clip;
+  b.param_optimizer = in.adam;
+  const Time adam_start = cpu_start + in.grad_clip;
+  const Time opt_end = adam_start + in.adam;
+
+  // CXLFENCE() at the end of optimizer.step(). DPU instead overlaps the
+  // transfer with the NEXT step's forward+backward (steady state): only
+  // the overhang is exposed.
+  Time exposed =
+      param_phase(kind, in, cal, down, adam_start, opts.dirty_bytes) -
+      opt_end;
+  if (kind == RuntimeKind::kZeroOffloadDpu) exposed -= b.forward_backward;
+  b.param_transfer_exposed = std::max(0.0, exposed);
+
+  harvest_wire(b, up, down, opts.metrics);
+  return b;
 }
 
 }  // namespace teco::offload

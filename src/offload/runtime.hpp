@@ -22,10 +22,17 @@
 //                     pushes stream during the producer's compute window.
 //  kTecoReduction   — kTecoCxl + dirty-byte aggregation on the parameter
 //                     stream (half the volume at dirty_bytes = 2).
+//
+// The runtimes differ only in their two transfer phases, so each phase is
+// written once, keyed by the runtime: grad_phase() (backward -> CPU) and
+// param_phase() (Adam -> device), over the channel pair step_channels()
+// builds. simulate_step() composes them into the single steady-state step;
+// simulate_pipeline() and simulate_activation_step() reuse the same phases.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
+#include <utility>
 
 #include "cxl/channel.hpp"
 #include "dl/model_zoo.hpp"
@@ -87,11 +94,36 @@ StepBreakdown simulate_step(RuntimeKind kind, const dl::ModelConfig& model,
 
 /// Stream `total_lines` cache-line packets, produced uniformly across
 /// [t_start, t_start + window], through `ch` in `chunks` paced bursts.
-/// Returns the delivery time of the final line. Shared by the single-step
-/// timelines and the multi-step pipeline simulator.
+/// Returns the delivery time of the final line. The closed-form channel
+/// primitive under both TECO transfer phases and the MD generality model.
 sim::Time paced_line_stream(cxl::Channel& ch, sim::Time t_start,
                             sim::Time window, std::uint64_t total_lines,
                             std::uint64_t line_payload_bytes,
                             std::size_t chunks);
+
+/// The (up, down) channel pair a runtime's transfers ride: DMA engines for
+/// the ZeRO-Offload baselines, the CXL link otherwise. Both take the
+/// calibrated pending-queue depth.
+std::pair<cxl::Channel, cxl::Channel> step_channels(RuntimeKind kind,
+                                                    const Calibration& cal);
+
+/// Gradient phase: backward starts at `bwd_start` and runs for
+/// `in.backward`. ZeRO flushes its GPU gradient buffer by DMA whenever it
+/// fills; TECO streams FlushData lines as backward writes them back;
+/// invalidation demand-fetches every line after backward. Returns when the
+/// last gradient byte reaches the CPU.
+sim::Time grad_phase(RuntimeKind kind, const StepInputs& in,
+                     const Calibration& cal, cxl::Channel& up,
+                     sim::Time bwd_start);
+
+/// Parameter phase: the Adam sweep starts at `adam_start` and runs for
+/// `in.adam`. ZeRO stages through the pinned double buffer after the
+/// optimizer; TECO streams lines as Adam writes them (kTecoReduction trims
+/// the payload to `dirty_bytes` per word and pays `cal.dba_latency`);
+/// invalidation sends invalidations during Adam and the device then
+/// demand-fetches every line. Returns when the last parameter byte lands.
+sim::Time param_phase(RuntimeKind kind, const StepInputs& in,
+                      const Calibration& cal, cxl::Channel& down,
+                      sim::Time adam_start, std::uint8_t dirty_bytes);
 
 }  // namespace teco::offload

@@ -14,13 +14,6 @@ std::string_view to_string(ArrivalKind k) {
   __builtin_unreachable();
 }
 
-std::optional<ArrivalKind> arrival_from_string(std::string_view s) {
-  if (s == "poisson") return ArrivalKind::kPoisson;
-  if (s == "bursty") return ArrivalKind::kBursty;
-  if (s == "trace") return ArrivalKind::kTrace;
-  return std::nullopt;
-}
-
 std::uint64_t kv_bytes_per_token(const dl::ModelConfig& m) {
   // K and V vectors, every layer, FP16.
   return 2ull * m.n_layers * m.hidden_size * 2ull;

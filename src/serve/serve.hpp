@@ -16,7 +16,7 @@
 //   ServeScheduler   continuous batching with prefill/decode asymmetry:
 //                    batched compute-bound prefill iterations vs
 //                    latency-bound one-token-per-session decode iterations,
-//                    capacity admission at serve_sessions.
+//                    capacity admission at max_sessions.
 //   KvCacheManager   session-granular KV residency across HBM / CXL DRAM,
 //                    executing page-ins, evictions and the update-push
 //                    write-through stream under a tier::Policy.
@@ -24,12 +24,11 @@
 // SLO accounting follows the serving literature: time-to-first-token
 // (arrival -> end of the request's prefill iteration) and inter-token
 // latency are obs histograms (p50/p99/p999); a request attains its SLO when
-// it was admitted, its TTFT met serve_slo_ms and its mean inter-token
+// it was admitted, its TTFT met slo_ttft and its mean inter-token
 // latency met the derived per-token budget. docs/SERVING.md is the guide.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -39,7 +38,7 @@
 
 namespace teco::serve {
 
-/// Arrival process shape (config key `serve_arrival`).
+/// Arrival process shape.
 enum class ArrivalKind : std::uint8_t {
   kPoisson,  ///< Exponential interarrivals at the offered rate.
   kBursty,   ///< Two-state MMPP: calm/burst dwell, same long-run rate.
@@ -47,9 +46,6 @@ enum class ArrivalKind : std::uint8_t {
 };
 
 std::string_view to_string(ArrivalKind k);
-/// Parse the config-file spelling (poisson | bursty | trace); nullopt
-/// for anything else.
-std::optional<ArrivalKind> arrival_from_string(std::string_view s);
 
 /// One inference request as the arrival process emits it.
 struct Request {
@@ -119,7 +115,7 @@ struct ServeConfig {
   double token_sigma = 0.5;
 
   // --- Capacity & scheduling ---
-  std::size_t max_sessions = 1024;  ///< Admission capacity (serve_sessions).
+  std::size_t max_sessions = 1024;  ///< Admission capacity.
   std::size_t max_batch = 64;       ///< Decode batch width.
   std::uint32_t max_prefill_tokens = 2048;  ///< Per prefill iteration.
 
@@ -136,7 +132,7 @@ struct ServeConfig {
   bool kv_writethrough = true;
 
   // --- SLO ---
-  sim::Time slo_ttft = sim::ms(250);  ///< serve_slo_ms.
+  sim::Time slo_ttft = sim::ms(250);  ///< Time-to-first-token SLO.
   /// Mean inter-token budget; <= 0 derives slo_ttft / 10.
   sim::Time slo_tpot = 0.0;
 

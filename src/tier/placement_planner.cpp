@@ -15,14 +15,6 @@ std::string_view to_string(Policy p) {
   __builtin_unreachable();
 }
 
-std::optional<Policy> policy_from_string(std::string_view s) {
-  if (s == "all_hbm") return Policy::kAllHbm;
-  if (s == "naive_swap") return Policy::kNaiveSwap;
-  if (s == "min_stall") return Policy::kMinStall;
-  if (s == "knapsack") return Policy::kKnapsack;
-  return std::nullopt;
-}
-
 void order_victims(Policy p, std::vector<VictimCandidate>& v) {
   switch (p) {
     case Policy::kAllHbm:

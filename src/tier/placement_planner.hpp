@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -38,9 +37,6 @@ enum class Policy : std::uint8_t {
 };
 
 std::string_view to_string(Policy p);
-/// Parse the config-file spelling (all_hbm | naive_swap | min_stall |
-/// knapsack); nullopt for anything else.
-std::optional<Policy> policy_from_string(std::string_view s);
 
 /// One eviction candidate for runtime (non-planned) victim selection.
 /// The serving runtime builds these from HBM-resident KV sessions each time

@@ -189,105 +189,12 @@ TEST(ConfigParser, CausalKeysParseAndRoundTrip) {
   EXPECT_FALSE(core::parse_config("obs_causal_max_nodes = -4").ok());
 }
 
-TEST(ConfigParser, ServeKeysParseAndRoundTrip) {
-  const auto parsed = core::parse_config(
-      "serve_arrival  = bursty\n"
-      "serve_rate     = 12.5\n"
-      "serve_slo_ms   = 100\n"
-      "serve_sessions = 64\n");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed.unknown_keys.empty());
-  EXPECT_EQ(parsed.session.serve_arrival, serve::ArrivalKind::kBursty);
-  EXPECT_DOUBLE_EQ(parsed.session.serve_rate, 12.5);
-  EXPECT_DOUBLE_EQ(parsed.session.serve_slo_ms, 100.0);
-  EXPECT_EQ(parsed.session.serve_sessions, 64u);
-
-  const auto again = core::parse_config(core::to_config_text(parsed.session));
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.session.serve_arrival, serve::ArrivalKind::kBursty);
-  EXPECT_DOUBLE_EQ(again.session.serve_rate, 12.5);
-  EXPECT_DOUBLE_EQ(again.session.serve_slo_ms, 100.0);
-  EXPECT_EQ(again.session.serve_sessions, 64u);
-}
-
-TEST(ConfigParser, ServeKeysRejectMalformedValues) {
-  EXPECT_FALSE(core::parse_config("serve_arrival = uniform").ok());
-  EXPECT_FALSE(core::parse_config("serve_rate = 0").ok());
-  EXPECT_FALSE(core::parse_config("serve_rate = fast").ok());
-  EXPECT_FALSE(core::parse_config("serve_slo_ms = -3").ok());
-  EXPECT_FALSE(core::parse_config("serve_sessions = 0").ok());
-  EXPECT_TRUE(core::parse_config("serve_rate = 0.5").ok());
-}
-
-TEST(ConfigParser, ServeConfigMapsSessionKnobs) {
-  core::SessionConfig cfg;
-  cfg.serve_arrival = serve::ArrivalKind::kTrace;
-  cfg.serve_rate = 96.0;
-  cfg.serve_slo_ms = 120.0;
-  cfg.serve_sessions = 48;
-  cfg.tier_policy = tier::Policy::kKnapsack;
-  cfg.tier_prefetch_depth = 3;
-  cfg.tier_hbm_bytes = 2ull << 30;
-  const serve::ServeConfig s = core::serve_config(cfg);
-  EXPECT_EQ(s.arrival, serve::ArrivalKind::kTrace);
-  EXPECT_DOUBLE_EQ(s.rate_rps, 96.0);
-  EXPECT_DOUBLE_EQ(s.slo_ttft, sim::ms(120.0));
-  EXPECT_EQ(s.max_sessions, 48u);
-  EXPECT_EQ(s.policy, tier::Policy::kKnapsack);
-  EXPECT_EQ(s.prefetch_depth, 3u);
-  EXPECT_EQ(s.hbm_kv_bytes, 2ull << 30);
-}
-
-TEST(ConfigParser, FabricKeysParseAndRoundTrip) {
-  const auto parsed = core::parse_config(
-      "fabric_nodes      = 4\n"
-      "fabric_pool_bytes = 1048576\n"
-      "fabric_port_gbps  = 12.5\n"
-      "fabric_reduce     = pool_staging\n");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed.unknown_keys.empty());
-  EXPECT_EQ(parsed.session.fabric_nodes, 4u);
-  EXPECT_EQ(parsed.session.fabric_pool_bytes, 1048576u);
-  EXPECT_DOUBLE_EQ(parsed.session.fabric_port_gbps, 12.5);
-  EXPECT_EQ(parsed.session.fabric_reduce, fabric::ReduceStrategy::kPoolStaging);
-
-  const auto again = core::parse_config(core::to_config_text(parsed.session));
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.session.fabric_nodes, 4u);
-  EXPECT_EQ(again.session.fabric_pool_bytes, 1048576u);
-  EXPECT_DOUBLE_EQ(again.session.fabric_port_gbps, 12.5);
-  EXPECT_EQ(again.session.fabric_reduce, fabric::ReduceStrategy::kPoolStaging);
-}
-
-TEST(ConfigParser, FabricKeysRejectMalformedValues) {
-  EXPECT_FALSE(core::parse_config("fabric_nodes = 0").ok());
-  EXPECT_FALSE(core::parse_config("fabric_nodes = 65").ok());
-  EXPECT_FALSE(core::parse_config("fabric_nodes = two").ok());
-  EXPECT_FALSE(core::parse_config("fabric_pool_bytes = 0").ok());
-  EXPECT_FALSE(core::parse_config("fabric_port_gbps = -1").ok());
-  EXPECT_FALSE(core::parse_config("fabric_port_gbps = fast").ok());
-  EXPECT_FALSE(core::parse_config("fabric_reduce = ring").ok());
-  EXPECT_TRUE(core::parse_config("fabric_reduce = per_link").ok());
-}
-
-TEST(ConfigParser, FabricConfigMapsSessionKnobs) {
-  core::SessionConfig cfg;
-  cfg.fabric_nodes = 8;
-  cfg.fabric_pool_bytes = 4ull << 20;
-  cfg.fabric_port_gbps = 24.0;
-  cfg.fabric_reduce = fabric::ReduceStrategy::kPerLink;
-  cfg.dba_enabled = false;
-  cfg.dirty_bytes = 3;
-  cfg.check = check::CheckLevel::kOff;
-  const fabric::FabricConfig f = core::fabric_config(cfg);
-  EXPECT_EQ(f.nodes, 8u);
-  EXPECT_EQ(f.pool_bytes, 4ull << 20);
-  EXPECT_DOUBLE_EQ(f.port_gbps, 24.0);
-  EXPECT_EQ(f.reduce, fabric::ReduceStrategy::kPerLink);
-  EXPECT_FALSE(f.dba_enabled);
-  EXPECT_EQ(f.dirty_bytes, 3u);
-  EXPECT_FALSE(f.check);
-  EXPECT_DOUBLE_EQ(f.node_phy.raw_bandwidth, cfg.phy.raw_bandwidth);
+TEST(ConfigParser, ShippedExampleParsesClean) {
+  const auto parsed = core::load_config_file(TECO_EXAMPLE_CFG);
+  EXPECT_TRUE(parsed.errors.empty())
+      << (parsed.errors.empty() ? "" : parsed.errors.front());
+  EXPECT_TRUE(parsed.unknown_keys.empty())
+      << (parsed.unknown_keys.empty() ? "" : parsed.unknown_keys.front());
 }
 
 TEST(ConfigParser, MissingFileIsReported) {

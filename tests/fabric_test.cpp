@@ -51,17 +51,6 @@ std::vector<float> scalar_reference(const std::vector<std::vector<float>>& g) {
   return out;
 }
 
-TEST(Fabric, ReduceStrategyStringsRoundTrip) {
-  for (const auto s : {fabric::ReduceStrategy::kDbaMerge,
-                       fabric::ReduceStrategy::kPoolStaging,
-                       fabric::ReduceStrategy::kPerLink}) {
-    const auto back = fabric::reduce_from_string(fabric::to_string(s));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, s);
-  }
-  EXPECT_FALSE(fabric::reduce_from_string("ring").has_value());
-}
-
 TEST(FabricPool, AdmissionRejectsOverCapacity) {
   fabric::PooledMemory pool(256, 0x1000);
   const auto a = pool.try_carve("a", 0, 100);  // rounds up to 2 lines

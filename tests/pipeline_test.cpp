@@ -36,6 +36,20 @@ TEST(Pipeline, SteadyStateMatchesSingleStepModel) {
   }
 }
 
+TEST(Pipeline, FirstStepEqualsSingleStepModel) {
+  // Both run the same grad_phase()/param_phase() calls: with no history,
+  // the first pipelined step IS the single-step timeline.
+  for (const auto kind :
+       {RuntimeKind::kZeroOffload, RuntimeKind::kTecoCxl,
+        RuntimeKind::kTecoReduction}) {
+    const auto pipe = simulate_pipeline(kind, dl::bert_large_cased(), 4, 3,
+                                        cal());
+    const auto step =
+        simulate_step(kind, dl::bert_large_cased(), 4, cal()).total();
+    EXPECT_NEAR(pipe.first_step, step, 1e-12 * step) << to_string(kind);
+  }
+}
+
 TEST(Pipeline, DurationsSumToTotalWithinTail) {
   const auto r = simulate_pipeline(RuntimeKind::kZeroOffload,
                                    dl::gpt2(), 4, 6, cal());

@@ -29,17 +29,6 @@ using namespace teco;
 
 constexpr std::uint64_t kMiB = 1ull << 20;
 
-TEST(ServeArrival, KindStringsRoundTrip) {
-  for (const auto k : {serve::ArrivalKind::kPoisson,
-                       serve::ArrivalKind::kBursty,
-                       serve::ArrivalKind::kTrace}) {
-    const auto back = serve::arrival_from_string(serve::to_string(k));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, k);
-  }
-  EXPECT_FALSE(serve::arrival_from_string("uniform").has_value());
-}
-
 TEST(ServeArrival, PoissonIsSeededAndRateFaithful) {
   serve::ServeConfig cfg;
   cfg.arrival = serve::ArrivalKind::kPoisson;

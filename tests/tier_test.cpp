@@ -1,14 +1,12 @@
-// teco::tier — lifetime profiling, placement planning, migration
-// scheduling, and the tier_* config surface.
+// teco::tier — lifetime profiling, placement planning and migration
+// scheduling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
 #include "check/tier_checker.hpp"
-#include "core/config.hpp"
 #include "core/gantt.hpp"
-#include "core/session.hpp"
 #include "core/trace_export.hpp"
 #include "dl/model_zoo.hpp"
 #include "offload/activation_timeline.hpp"
@@ -140,16 +138,6 @@ TEST(PlacementPlanner, PlanFitsHbmBudget) {
     EXPECT_LE(plan.planned_hbm_peak, cfg.hbm_bytes);
     EXPECT_GE(plan.planned_offload_bytes, 2 * kGiB);
   }
-}
-
-TEST(PlacementPlanner, PolicyStringsRoundTrip) {
-  for (const auto pol : {tier::Policy::kAllHbm, tier::Policy::kNaiveSwap,
-                         tier::Policy::kMinStall, tier::Policy::kKnapsack}) {
-    const auto parsed = tier::policy_from_string(tier::to_string(pol));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, pol);
-  }
-  EXPECT_FALSE(tier::policy_from_string("lru").has_value());
 }
 
 /// Run the full timeline for gpt2 at the given policy/budget with a strict
@@ -284,50 +272,6 @@ TEST(TierChecker, ResidencyAndDeadlineInvariants) {
   check::TierInvariantChecker chk4(check::CheckLevel::kStrict, 100);
   EXPECT_THROW(chk4.on_tier_occupancy(0.0, 0, 101), check::TierViolation);
   chk4.on_tier_occupancy(0.0, 1, 1000);  // Other tiers unconstrained.
-}
-
-TEST(TierConfig, ParsesTierKeys) {
-  const auto p = core::parse_config(
-      "tier_policy = knapsack\n"
-      "tier_hbm_bytes = 17179869184\n"
-      "tier_prefetch_depth = 4\n");
-  ASSERT_TRUE(p.errors.empty());
-  EXPECT_TRUE(p.unknown_keys.empty());
-  EXPECT_EQ(p.session.tier_policy, tier::Policy::kKnapsack);
-  EXPECT_EQ(p.session.tier_hbm_bytes, 16 * kGiB);
-  EXPECT_EQ(p.session.tier_prefetch_depth, 4u);
-  const auto cfg = core::tier_planner_config(p.session);
-  EXPECT_EQ(cfg.policy, tier::Policy::kKnapsack);
-  EXPECT_EQ(cfg.hbm_bytes, 16 * kGiB);
-  EXPECT_EQ(cfg.prefetch_depth, 4u);
-  EXPECT_EQ(cfg.giant_cache_bytes, p.session.giant_cache_capacity);
-}
-
-TEST(TierConfig, RejectsBadTierValues) {
-  const auto p = core::parse_config(
-      "tier_policy = lru\n"
-      "tier_hbm_bytes = 0\n"
-      "tier_hbm_bytes = banana\n"
-      "tier_prefetch_depth = 65\n");
-  ASSERT_EQ(p.errors.size(), 4u);
-  EXPECT_NE(p.errors[0].find("tier_policy must be"), std::string::npos);
-  EXPECT_NE(p.errors[1].find("positive integer"), std::string::npos);
-  EXPECT_NE(p.errors[3].find("[0, 64]"), std::string::npos);
-  // Defaults survive rejected values.
-  EXPECT_EQ(p.session.tier_policy, tier::Policy::kAllHbm);
-}
-
-TEST(TierConfig, RoundTripsThroughText) {
-  core::SessionConfig cfg;
-  cfg.tier_policy = tier::Policy::kMinStall;
-  cfg.tier_hbm_bytes = 8 * kGiB;
-  cfg.tier_prefetch_depth = 7;
-  const auto p = core::parse_config(core::to_config_text(cfg));
-  ASSERT_TRUE(p.errors.empty());
-  EXPECT_TRUE(p.unknown_keys.empty());
-  EXPECT_EQ(p.session.tier_policy, cfg.tier_policy);
-  EXPECT_EQ(p.session.tier_hbm_bytes, cfg.tier_hbm_bytes);
-  EXPECT_EQ(p.session.tier_prefetch_depth, cfg.tier_prefetch_depth);
 }
 
 TEST(TierGantt, ActivationGanttHasOccupancyLanes) {
