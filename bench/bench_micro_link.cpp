@@ -17,6 +17,7 @@
 #include "dba/disaggregator.hpp"
 #include "dl/attention.hpp"
 #include "dl/fp16.hpp"
+#include "mem/backing_store.hpp"
 #include "mem/cache.hpp"
 #include "mem/hierarchy.hpp"
 #include "obs/causal.hpp"
@@ -120,6 +121,23 @@ void BM_DisaggregatorMerge(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_DisaggregatorMerge);
+
+// The Session data path: an FP32 tensor into and out of a BackingStore,
+// one line per table lookup. Items are 64-byte lines.
+void BM_BackingStoreF32Copy(benchmark::State& state) {
+  mem::BackingStore store;
+  std::vector<float> values(1 << 14, 1.5f);
+  std::vector<float> out(values.size());
+  for (auto _ : state) {
+    store.write_f32s(0, values);
+    store.read_f32s(0, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * values.size() * 4 /
+                          mem::kLineBytes);
+}
+BENCHMARK(BM_BackingStoreF32Copy);
 
 void BM_HomeAgentUpdatePush(benchmark::State& state) {
   cxl::Link link;

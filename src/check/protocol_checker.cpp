@@ -149,11 +149,12 @@ void ProtocolChecker::record(LineInfo& li, Domain dom, std::uint8_t from,
   }
 }
 
-void ProtocolChecker::touch(mem::Addr line) {
-  if (!in_op_) return;
-  if (std::find(touched_.begin(), touched_.end(), line) == touched_.end()) {
-    touched_.push_back(line);
-  }
+void ProtocolChecker::touch(mem::Addr line, LineInfo& li) {
+  // Dedupe by stamp, not by search: a flush-all touches every resident
+  // line, and a linear search made that operation quadratic.
+  if (!in_op_ || li.touched_in_op == op_seq_) return;
+  li.touched_in_op = op_seq_;
+  touched_.push_back(line);
 }
 
 std::string ProtocolChecker::line_history(mem::Addr line) const {
@@ -399,6 +400,7 @@ void ProtocolChecker::on_op_begin(sim::Time now, Op op, mem::Addr line) {
   op_sent_data_ = false;
   last_time_ = now;
   touched_.clear();
+  ++op_seq_;
 }
 
 void ProtocolChecker::on_op_end(sim::Time now, Op op, mem::Addr line) {
@@ -435,7 +437,7 @@ void ProtocolChecker::on_state_change(Domain dom, mem::Addr line,
     li.dev = to;
   }
   if (in_op_) {
-    touch(line);
+    touch(line, li);
   } else {
     // External poke (test/tool): no quiescent point follows, judge now.
     check_swmr(line, li);
@@ -450,14 +452,15 @@ void ProtocolChecker::on_cache_drop(mem::Addr line, std::uint8_t state,
   record(li, Domain::kCpuCache, state, kI);
   check_transition(Domain::kCpuCache, line, state, kI);
   li.cpu = kI;
-  touch(line);
+  touch(line, li);
 }
 
 void ProtocolChecker::on_sharer_change(mem::Addr line, std::uint8_t before,
                                        std::uint8_t after) {
   if (before == after || region_of(line) == nullptr) return;
-  line_info(line).sharers = after;
-  touch(line);
+  LineInfo& li = line_info(line);
+  li.sharers = after;
+  touch(line, li);
 }
 
 void ProtocolChecker::on_packet(sim::Time now, std::uint8_t dir,

@@ -185,12 +185,13 @@ class ProtocolChecker final : public Observer {
     std::array<TransitionRecord, kHistoryDepth> history{};
     std::uint8_t history_len = 0;
     std::uint8_t history_head = 0;
+    std::uint64_t touched_in_op = 0;  ///< op_seq_ of the last touch.
   };
 
   const RegionInfo* region_of(mem::Addr line) const;
   LineInfo& line_info(mem::Addr line);
   void record(LineInfo& li, Domain dom, std::uint8_t from, std::uint8_t to);
-  void touch(mem::Addr line);
+  void touch(mem::Addr line, LineInfo& li);
 
   void check_transition(Domain dom, mem::Addr line, std::uint8_t from,
                         std::uint8_t to);
@@ -215,6 +216,7 @@ class ProtocolChecker final : public Observer {
   mem::Addr op_line_ = 0;
   bool op_sent_data_ = false;  ///< A packet crossed the link this op.
   std::vector<mem::Addr> touched_;  ///< Lines changed during the op.
+  std::uint64_t op_seq_ = 0;        ///< Numbers operations for touch().
 
   // Link accounting for invariant (d).
   std::array<std::uint64_t, 2> injected_{};       ///< Packets per direction.

@@ -12,6 +12,9 @@ constexpr std::size_t kLastLiterals = 5;   ///< Spec: last 5 bytes literal.
 constexpr std::size_t kMfLimit = 12;       ///< No match starts within 12B of end.
 constexpr std::size_t kMaxOffset = 65535;
 constexpr std::size_t kHashLog = 16;
+/// Decoder copies of up to this many bytes move exactly this many when both
+/// buffers have the room (the reference decoder's "wild copy").
+constexpr std::size_t kWildCopy = 16;
 
 std::uint32_t read32(const std::uint8_t* p) {
   std::uint32_t v;
@@ -92,8 +95,12 @@ std::vector<std::uint8_t> lz4_compress(std::span<const std::uint8_t> src) {
 
 std::vector<std::uint8_t> lz4_decompress(std::span<const std::uint8_t> src,
                                          std::size_t decompressed_size) {
-  std::vector<std::uint8_t> out;
-  out.reserve(decompressed_size);
+  // Size the output once and write into it: literals and non-overlapping
+  // matches are single copies, only short-offset matches go byte by byte.
+  // A wild copy's bytes past the sequence land where later sequences
+  // write, and matches read only below `op`, so none survive or leak.
+  std::vector<std::uint8_t> out(decompressed_size);
+  std::size_t op = 0;
   std::size_t ip = 0;
   const std::size_t n = src.size();
 
@@ -109,28 +116,49 @@ std::vector<std::uint8_t> lz4_decompress(std::span<const std::uint8_t> src,
     }
     return len;
   };
+  auto reserve_output = [&](std::size_t len) {
+    if (len > decompressed_size - op) {
+      throw std::runtime_error("lz4: output overruns the decompressed size");
+    }
+  };
 
   while (ip < n) {
     const std::uint8_t token = src[ip++];
     const std::size_t lit_len = read_length(token >> 4);
     if (ip + lit_len > n) throw std::runtime_error("lz4: truncated literals");
-    out.insert(out.end(), src.begin() + ip, src.begin() + ip + lit_len);
+    reserve_output(lit_len);
+    if (lit_len <= kWildCopy && n - ip >= kWildCopy &&
+        decompressed_size - op >= kWildCopy) {
+      std::memcpy(out.data() + op, src.data() + ip, kWildCopy);
+    } else if (lit_len != 0) {
+      std::memcpy(out.data() + op, src.data() + ip, lit_len);
+    }
+    op += lit_len;
     ip += lit_len;
     if (ip >= n) break;  // Final literals-only sequence.
     if (ip + 2 > n) throw std::runtime_error("lz4: truncated offset");
     const std::size_t offset = src[ip] | (src[ip + 1] << 8);
     ip += 2;
-    if (offset == 0 || offset > out.size()) {
+    if (offset == 0 || offset > op) {
       throw std::runtime_error("lz4: invalid offset");
     }
     const std::size_t match_len = read_length(token & 0x0F) + kMinMatch;
-    // Overlapping copies are legal (offset < match_len): copy byte-wise.
-    std::size_t from = out.size() - offset;
-    for (std::size_t i = 0; i < match_len; ++i) {
-      out.push_back(out[from + i]);
+    reserve_output(match_len);
+    std::uint8_t* dst = out.data() + op;
+    const std::uint8_t* from = dst - offset;
+    if (match_len <= kWildCopy && offset >= kWildCopy &&
+        decompressed_size - op >= kWildCopy) {
+      std::memcpy(dst, from, kWildCopy);
+    } else if (offset >= match_len) {
+      std::memcpy(dst, from, match_len);
+    } else {
+      // Overlapping copy (offset < match_len): later bytes repeat bytes
+      // this same match wrote, so copy forward one byte at a time.
+      for (std::size_t i = 0; i < match_len; ++i) dst[i] = from[i];
     }
+    op += match_len;
   }
-  if (out.size() != decompressed_size) {
+  if (op != decompressed_size) {
     throw std::runtime_error("lz4: size mismatch after decompression");
   }
   return out;

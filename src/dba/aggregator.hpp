@@ -8,8 +8,8 @@
 // the end-to-end model charges the conservative 1 ns per the paper.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "check/observer.hpp"
 #include "core/annotations.hpp"
@@ -33,6 +33,28 @@ inline constexpr sim::Time kModeledDbaLatency = sim::ns(1.0);
 inline constexpr double kAggregatorPowerW = 0.0127;
 inline constexpr double kDisaggregatorPowerW = 0.017;
 
+/// One packed line, held inline: a payload is never longer than the full
+/// line the bypass path forwards, so packing never touches the heap. It is a
+/// contiguous range, so it converts to std::span<const std::uint8_t>.
+struct Payload {
+  mem::BackingStore::Line bytes{};
+  std::size_t len = 0;
+
+  const std::uint8_t* data() const { return bytes.data(); }
+  std::size_t size() const { return len; }
+  const std::uint8_t* begin() const { return bytes.data(); }
+  const std::uint8_t* end() const { return bytes.data() + len; }
+  std::uint8_t operator[](std::size_t i) const { return bytes[i]; }
+};
+
+/// Copy the low `n` (0..3) bytes of each of a line's 16 FP32 words between
+/// the line layout (word stride 4) and the packed layout (word stride n).
+/// Each word moves as one fixed-width copy, not a byte loop.
+void gather_low_bytes(std::uint8_t n, const std::uint8_t* line,
+                      std::uint8_t* payload);
+void scatter_low_bytes(std::uint8_t n, const std::uint8_t* payload,
+                       std::uint8_t* line);
+
 class Aggregator {
  public:
   explicit Aggregator(DbaRegister reg = {}) : reg_(reg) {}
@@ -48,7 +70,7 @@ class Aggregator {
 
   /// Pack one 64-byte line. If DBA is inactive (or dirty_bytes == 4) the
   /// full line is returned unchanged (the "bypass" path).
-  std::vector<std::uint8_t> pack(const mem::BackingStore::Line& line) const;
+  Payload pack(const mem::BackingStore::Line& line) const;
 
   /// Wire payload size for one line under the current register.
   std::uint32_t packed_bytes() const {

@@ -30,11 +30,7 @@ mem::BackingStore::Line Disaggregator::merge(
   }
   ++extra_reads_;  // The stale line must be read from the giant cache.
   mem::BackingStore::Line out = old_line;
-  for (std::size_t w = 0; w < mem::kWordsPerLine; ++w) {
-    for (std::uint8_t b = 0; b < n; ++b) {
-      out[w * 4 + b] = payload[w * n + b];
-    }
-  }
+  scatter_low_bytes(n, payload.data(), out.data());
   if (observer_ != nullptr) {
     observer_->on_dba_merge(old_line.data(), payload.data(), payload.size(),
                             out.data(), reg_.encode());

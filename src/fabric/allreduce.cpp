@@ -61,9 +61,7 @@ void FabricNode::set_gradients(std::span<const float> values) {
     throw std::invalid_argument("FabricNode::set_gradients: shard size "
                                 "mismatch");
   }
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    device_mem_.write_f32(contribution_.base + i * 4, values[i]);
-  }
+  device_mem_.write_f32s(contribution_.base, values);
 }
 
 std::optional<cxl::Delivery> FabricNode::push_contribution(
@@ -101,9 +99,7 @@ void FabricNode::device_write_f32(mem::Addr addr, float v) {
 
 std::vector<float> FabricNode::result_values() const {
   std::vector<float> out(result_.bytes / 4);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = device_mem_.read_f32(result_.base + i * 4);
-  }
+  device_mem_.read_f32s(result_.base, out);
   return out;
 }
 

@@ -1,36 +1,28 @@
 #include "ft/persistent_store.hpp"
 
-#include <algorithm>
-
 namespace teco::ft {
 
 void PersistentStore::stage_bytes(mem::Addr addr,
                                   std::span<const std::uint8_t> bytes) {
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const mem::Addr a = addr + done;
-    const mem::Addr base = mem::line_base(a);
-    const std::size_t off = static_cast<std::size_t>(a - base);
-    const std::size_t n =
-        std::min(bytes.size() - done, mem::kLineBytes - off);
-    // Read-modify-write: start from the staged image if this line is
-    // already buffered, otherwise from the committed media.
-    Line line = staged_lines_.contains(mem::line_index(base))
-                    ? staged_.read_line(base)
-                    : durable_.read_line(base);
-    std::copy_n(bytes.data() + done, n, line.begin() + off);
-    stage_line(base, line);
-    done += n;
+  if (bytes.empty()) return;
+  // Read-modify-write: a line not yet buffered starts from the committed
+  // media, so the bytes of a partially covered line outside the range keep
+  // their durable values.
+  for (mem::Addr base = mem::line_base(addr); base < addr + bytes.size();
+       base += mem::kLineBytes) {
+    if (!staged_.contains_line(base)) {
+      staged_.write_line(base, durable_.read_line(base));
+    }
   }
+  staged_.write(addr, bytes);
 }
 
 sim::Time PersistentStore::commit(sim::Time now) {
-  const std::uint64_t bytes = staged_lines_.size() * mem::kLineBytes;
+  const std::uint64_t bytes = staged_.resident_lines() * mem::kLineBytes;
   staged_.for_each_line([this](mem::Addr base, const Line& line) {
     durable_.write_line(base, line);
   });
   staged_.clear();
-  staged_lines_.clear();
   ++stats_.commits;
   stats_.committed_bytes += bytes;
   if (bytes == 0) return now;  // Nothing buffered: the fence is free.
@@ -39,9 +31,8 @@ sim::Time PersistentStore::commit(sim::Time now) {
 
 void PersistentStore::crash() {
   ++stats_.crashes;
-  stats_.lost_staged_lines += staged_lines_.size();
+  stats_.lost_staged_lines += staged_.resident_lines();
   staged_.clear();
-  staged_lines_.clear();
 }
 
 }  // namespace teco::ft

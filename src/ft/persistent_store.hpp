@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_set>
 
 #include "mem/address.hpp"
 #include "mem/backing_store.hpp"
@@ -59,12 +58,6 @@ class PersistentStore {
 
   explicit PersistentStore(PmemTiming timing = {}) : timing_(timing) {}
 
-  /// Stage a whole line into the device write buffer (not yet durable).
-  void stage_line(mem::Addr addr, const Line& data) {
-    staged_.write_line(addr, data);
-    staged_lines_.insert(mem::line_index(addr));
-  }
-
   /// Stage an arbitrary byte range; partially covered lines read-modify-
   /// write against the current (staged-over-durable) contents.
   void stage_bytes(mem::Addr addr, std::span<const std::uint8_t> bytes);
@@ -84,7 +77,7 @@ class PersistentStore {
   }
   Line read_line(mem::Addr addr) const { return durable_.read_line(addr); }
 
-  std::uint64_t staged_lines() const { return staged_lines_.size(); }
+  std::uint64_t staged_lines() const { return staged_.resident_lines(); }
   std::uint64_t durable_lines() const { return durable_.resident_lines(); }
   const PmemTiming& timing() const { return timing_; }
   const PersistentStoreStats& stats() const { return stats_; }
@@ -93,7 +86,6 @@ class PersistentStore {
   PmemTiming timing_;
   mem::BackingStore staged_;
   mem::BackingStore durable_;
-  std::unordered_set<std::uint64_t> staged_lines_;
   PersistentStoreStats stats_;
 };
 

@@ -36,36 +36,57 @@ class BackingStore {
     lines_[line_index(addr)] = data;
   }
 
-  /// Byte-granular accessors that may straddle lines.
+  bool contains_line(Addr addr) const {
+    shard_.assert_held();
+    return lines_.contains(line_index(addr));
+  }
+
+  /// Byte-granular accessors that may straddle lines. Both move a line at a
+  /// time: one table lookup and one copy per line the range touches.
   void write(Addr addr, std::span<const std::uint8_t> bytes) {
     shard_.assert_held();
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      Line& line = lines_[line_index(addr + i)];
-      line[(addr + i) % kLineBytes] = bytes[i];
+    for (std::size_t done = 0; done < bytes.size();) {
+      const std::size_t off = (addr + done) % kLineBytes;
+      const std::size_t n = std::min(bytes.size() - done, kLineBytes - off);
+      Line& line = lines_[line_index(addr + done)];
+      std::memcpy(line.data() + off, bytes.data() + done, n);
+      done += n;
     }
   }
 
   void read(Addr addr, std::span<std::uint8_t> out) const {
     shard_.assert_held();
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const auto it = lines_.find(line_index(addr + i));
-      out[i] = it == lines_.end() ? 0 : it->second[(addr + i) % kLineBytes];
+    for (std::size_t done = 0; done < out.size();) {
+      const std::size_t off = (addr + done) % kLineBytes;
+      const std::size_t n = std::min(out.size() - done, kLineBytes - off);
+      const auto it = lines_.find(line_index(addr + done));
+      if (it == lines_.end()) {
+        std::memset(out.data() + done, 0, n);
+      } else {
+        std::memcpy(out.data() + done, it->second.data() + off, n);
+      }
+      done += n;
     }
   }
 
+  /// FP32 arrays in host (little-endian) byte order, the layout the
+  /// training hooks and the fabric nodes use.
+  void write_f32s(Addr addr, std::span<const float> values) {
+    write(addr, {reinterpret_cast<const std::uint8_t*>(values.data()),
+                 values.size_bytes()});
+  }
+
+  void read_f32s(Addr addr, std::span<float> out) const {
+    read(addr, {reinterpret_cast<std::uint8_t*>(out.data()), out.size_bytes()});
+  }
+
   float read_f32(Addr addr) const {
-    std::uint8_t buf[4];
-    read(addr, buf);
-    float f;
-    std::memcpy(&f, buf, 4);
+    float f = 0.0f;
+    read_f32s(addr, {&f, 1});
     return f;
   }
 
-  void write_f32(Addr addr, float f) {
-    std::uint8_t buf[4];
-    std::memcpy(buf, &f, 4);
-    write(addr, buf);
-  }
+  void write_f32(Addr addr, float f) { write_f32s(addr, {&f, 1}); }
 
   std::size_t resident_lines() const {
     shard_.assert_held();

@@ -92,9 +92,39 @@ TEST(Lz4, MalformedInputThrows) {
   // Offset pointing before the start of output.
   std::vector<std::uint8_t> bad_offset = {0x10, 'a', 0x09, 0x00};
   EXPECT_THROW((void)lz4_decompress(bad_offset, 100), std::runtime_error);
-  // Size mismatch.
+  // Size mismatch, short and long.
   const auto c = lz4_compress(bytes_of("hello world, hello world, hello"));
   EXPECT_THROW((void)lz4_decompress(c, 7), std::runtime_error);
+  EXPECT_THROW((void)lz4_decompress(c, 64), std::runtime_error);
+  // A match that would run past the declared size.
+  std::vector<std::uint8_t> overrun = {0x1F, 'a', 0x01, 0x00, 0x20};
+  EXPECT_THROW((void)lz4_decompress(overrun, 8), std::runtime_error);
+  // A literal that fills a 1-byte output, then junk: must throw without
+  // writing past the output (the sanitizer build checks the write).
+  std::vector<std::uint8_t> junk_tail(20, 0);
+  junk_tail[0] = 0x10;
+  junk_tail[1] = 'a';
+  EXPECT_THROW((void)lz4_decompress(junk_tail, 1), std::runtime_error);
+}
+
+TEST(Lz4, EveryCopyPathRoundTrips) {
+  // Periodic buffers put match offsets below, at and above both the match
+  // length and the 16-byte copy width (overlapping, fixed-width and plain
+  // copies); low-entropy buffers of every size up to 96 bytes put short
+  // literals and matches against both buffer ends.
+  for (const std::size_t period : {1, 3, 4, 7, 8, 15, 16, 17, 19, 64, 300}) {
+    std::vector<std::uint8_t> src(4096);
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      src[i] = static_cast<std::uint8_t>((i % period) * 37 + 1);
+    }
+    expect_roundtrip(src);
+  }
+  sim::Rng rng(9);
+  for (std::size_t size = 1; size <= 96; ++size) {
+    std::vector<std::uint8_t> src(size);
+    for (auto& b : src) b = static_cast<std::uint8_t>(rng.next_below(4));
+    expect_roundtrip(src);
+  }
 }
 
 class Lz4RoundTrip

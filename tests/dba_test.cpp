@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "dba/aggregator.hpp"
 #include "dba/dba_register.hpp"
@@ -133,6 +135,30 @@ TEST_P(DbaRoundTrip, MergeMatchesSpliceSpec) {
       std::memcpy(&si, &spliced, 4);
       ASSERT_EQ(mi, si) << "word " << w << " n=" << int{n};
     }
+  }
+}
+
+TEST_P(DbaRoundTrip, PackAndMergeMatchTheByteSpec) {
+  // The word-wise copies against the Section V byte loops: payload byte
+  // w*N+b is line byte w*4+b, and the merge is the closed-form oracle.
+  const std::uint8_t n = GetParam();
+  const DbaRegister reg(true, n);
+  sim::Rng rng(200 + n);
+  Aggregator agg(reg);
+  Disaggregator dis(reg);
+  for (int iter = 0; iter < 50; ++iter) {
+    const Line old = random_line(rng);
+    const Line fresh = random_line(rng);
+    const Payload payload = agg.pack(fresh);
+    std::vector<std::uint8_t> want;
+    for (std::size_t w = 0; w < mem::kWordsPerLine; ++w) {
+      for (std::uint8_t b = 0; b < (reg.trims() ? n : 4); ++b) {
+        want.push_back(fresh[w * 4 + b]);
+      }
+    }
+    const std::span<const std::uint8_t> view = payload;
+    ASSERT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()), want);
+    ASSERT_EQ(dis.merge(old, payload), expected_merge(reg, old, fresh));
   }
 }
 

@@ -1,12 +1,14 @@
 // Unit tests for the memory substrate: addresses, caches, DRAM, stores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "mem/address.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
+#include "sim/rng.hpp"
 
 namespace teco::mem {
 namespace {
@@ -226,6 +228,58 @@ TEST(BackingStore, ByteAccessStraddlesLines) {
   s.read(60, out);
   EXPECT_EQ(out, data);
   EXPECT_EQ(s.resident_lines(), 3u);
+}
+
+TEST(BackingStore, LineChunkedCopiesMatchAByteModel) {
+  // Random ranges at every offset and length, against a flat byte array:
+  // the line-at-a-time copies must behave exactly like byte-wise access.
+  BackingStore s;
+  std::vector<std::uint8_t> model(8 * kLineBytes, 0);
+  sim::Rng rng(11);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const std::size_t addr = rng.next_below(model.size());
+    const std::size_t len = rng.next_below(model.size() - addr + 1);
+    if (rng.next_bool(0.5)) {
+      std::vector<std::uint8_t> bytes(len);
+      for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_below(256));
+      s.write(addr, bytes);
+      std::copy(bytes.begin(), bytes.end(), model.begin() + addr);
+    } else {
+      std::vector<std::uint8_t> out(len, 0xEE);
+      s.read(addr, out);
+      ASSERT_TRUE(std::equal(out.begin(), out.end(), model.begin() + addr))
+          << "read of " << len << " bytes at " << addr;
+    }
+  }
+}
+
+TEST(BackingStore, ReadsDoNotAllocateLines) {
+  BackingStore s;
+  std::vector<std::uint8_t> out(3 * kLineBytes, 0xEE);
+  s.read(10, out);
+  EXPECT_EQ(out, std::vector<std::uint8_t>(out.size(), 0));
+  EXPECT_EQ(s.resident_lines(), 0u);
+  EXPECT_FALSE(s.contains_line(0));
+  s.write_f32(70, 1.0f);
+  EXPECT_TRUE(s.contains_line(64));
+  EXPECT_FALSE(s.contains_line(0));
+  EXPECT_EQ(s.resident_lines(), 1u);
+}
+
+TEST(BackingStore, F32ArraysStraddleLines) {
+  BackingStore s;
+  std::vector<float> values(40);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = 0.5f * static_cast<float>(i) - 3.0f;
+  }
+  s.write_f32s(36, values);  // Bytes [36, 196): word- but not line-aligned.
+  EXPECT_EQ(s.resident_lines(), 4u);
+  std::vector<float> out(values.size());
+  s.read_f32s(36, out);
+  EXPECT_EQ(out, values);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(s.read_f32(36 + 4 * i), values[i]);
+  }
 }
 
 TEST(BackingStore, F32RoundTrip) {
