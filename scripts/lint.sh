@@ -28,10 +28,9 @@ else
   echo "lint.sh: ${hb_lint_bin} not built; skipping the HB trace lint"
 fi
 
-# --- teco-lint: determinism & shard-safety static analysis ------------------
+# --- teco-lint: determinism static analysis ---------------------------------
 # Token-level linter (tools/lint/teco_lint.cpp) over src/: unordered-iter,
-# wallclock, ptr-order, fp-reduce, queue-capture, shard-coverage and
-# cross-shard. The committed tree must carry zero
+# wallclock, ptr-order and fp-reduce. The committed tree must carry zero
 # unsuppressed findings, and the allow() suppression count is budgeted —
 # raising TECO_LINT_MAX_SUPPRESSIONS is a deliberate, reviewed act.
 # Before trusting the clean run, the linter proves its own sensitivity on
@@ -47,12 +46,9 @@ if [[ ! -x "${teco_lint_bin}" ]]; then
 fi
 
 echo "lint.sh: teco-lint fixture self-test"
-for clean in clean clean_sharded; do
-  "${teco_lint_bin}" --no-summary "tests/lint_fixtures/${clean}.cpp" ||
-    { echo "lint.sh: teco-lint flagged the ${clean} fixture" >&2; exit 1; }
-done
-for rule in unordered_iter wallclock ptr_order fp_reduce \
-            queue_capture shard_coverage cross_shard; do
+"${teco_lint_bin}" --no-summary tests/lint_fixtures/clean.cpp ||
+  { echo "lint.sh: teco-lint flagged the clean fixture" >&2; exit 1; }
+for rule in unordered_iter wallclock ptr_order fp_reduce; do
   fixture="tests/lint_fixtures/planted_${rule}.cpp"
   if "${teco_lint_bin}" --no-summary "${fixture}" >/dev/null 2>&1; then
     echo "lint.sh: teco-lint MISSED the planted ${rule} fixture" >&2
@@ -61,17 +57,9 @@ for rule in unordered_iter wallclock ptr_order fp_reduce \
 done
 
 echo "lint.sh: teco-lint over src/"
-"${teco_lint_bin}" --max-suppressions="${TECO_LINT_MAX_SUPPRESSIONS:-7}" src ||
+"${teco_lint_bin}" --max-suppressions="${TECO_LINT_MAX_SUPPRESSIONS:-6}" src ||
   { echo "lint.sh: teco-lint found hazards (or the suppression budget grew)" >&2
     exit 1; }
-
-# Emit the cross-shard ownership map as a build artifact (CI uploads it;
-# docs/SHARDING.md embeds the committed snapshot). Advisory output only —
-# violations are already enforced by the src/ scan above.
-map_prefix="${TECO_BUILD_DIR:-build}/teco_ownership"
-"${teco_lint_bin}" --no-summary --ownership-map="${map_prefix}" src >/dev/null ||
-  { echo "lint.sh: ownership-map emission failed" >&2; exit 1; }
-echo "lint.sh: ownership map at ${map_prefix}.{dot,json}"
 
 if ! command -v clang-tidy >/dev/null 2>&1; then
   echo "lint.sh: clang-tidy not found; skipping lint (install LLVM to enable)"

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "check/observer.hpp"
-#include "core/annotations.hpp"
 #include "coherence/mesi.hpp"
 #include "mem/address.hpp"
 
@@ -54,18 +53,9 @@ class GiantCache {
   void set_state(mem::Addr addr, MesiState s);
 
   std::uint64_t capacity_bytes() const { return capacity_; }
-  std::uint64_t mapped_bytes() const {
-    shard_.assert_held();
-    return mapped_;
-  }
-  std::uint64_t mapped_lines() const {
-    shard_.assert_held();
-    return mapped_ / mem::kLineBytes;
-  }
-  const std::vector<GiantCacheRegion>& regions() const {
-    shard_.assert_held();
-    return regions_;
-  }
+  std::uint64_t mapped_bytes() const { return mapped_; }
+  std::uint64_t mapped_lines() const { return mapped_ / mem::kLineBytes; }
+  const std::vector<GiantCacheRegion>& regions() const { return regions_; }
 
   /// Count of lines currently in `s` across all regions (test helper).
   std::uint64_t count_state(MesiState s) const;
@@ -79,11 +69,8 @@ class GiantCache {
   }
 
   std::uint64_t capacity_;
-  // Region directory (MESI line states) is home-agent-shard state: the
-  // sharded engine partitions regions across shards by address.
-  core::ShardCapability shard_;
-  std::uint64_t mapped_ TECO_SHARD_AFFINE(shard_) = 0;
-  std::vector<GiantCacheRegion> regions_ TECO_SHARD_AFFINE(shard_);
+  std::uint64_t mapped_ = 0;
+  std::vector<GiantCacheRegion> regions_;
   check::Observer* observer_ = nullptr;
 };
 

@@ -52,7 +52,6 @@ void HomeAgent::set_cpu_state(mem::Addr line, MesiState s, bool dirty) {
 }
 
 void HomeAgent::set_observer(check::Observer* obs) {
-  shard_.assert_held();
   observer_ = obs;
   gc_.set_observer(obs);
   cpu_cache_.set_observer(obs);
@@ -63,7 +62,6 @@ void HomeAgent::set_observer(check::Observer* obs) {
 }
 
 void HomeAgent::set_metrics(obs::MetricsRegistry* reg) {
-  shard_.assert_held();
   link_.set_metrics(reg);
   if (reg == nullptr) {
     m_dba_lines_ = m_dba_saved_ = m_dba_fallback_ = nullptr;
@@ -123,7 +121,6 @@ cxl::Delivery HomeAgent::push_line_to_cpu(sim::Time now, mem::Addr line) {
 }
 
 void HomeAgent::demote_region(sim::Time now, mem::Addr addr) {
-  shard_.assert_held();
   auto* region = gc_.find(mem::line_base(addr));
   if (region == nullptr || region->forced_invalidation) return;
   region->forced_invalidation = true;
@@ -142,7 +139,6 @@ Protocol HomeAgent::effective_protocol(mem::Addr addr) const {
 
 std::optional<cxl::Delivery> HomeAgent::cpu_write_line(sim::Time now,
                                                        mem::Addr addr) {
-  shard_.assert_held();
   const mem::Addr line = mem::line_base(addr);
   auto* region = gc_.find(line);
   if (region == nullptr) return std::nullopt;  // Ordinary memory.
@@ -202,7 +198,6 @@ std::optional<cxl::Delivery> HomeAgent::cpu_write_line_impl(
 }
 
 HomeAgent::Access HomeAgent::cpu_read_line(sim::Time now, mem::Addr addr) {
-  shard_.assert_held();
   const mem::Addr line = mem::line_base(addr);
   if (!gc_.contains_line(line)) return Access{now, false};
   if (observer_ != nullptr) {
@@ -242,7 +237,6 @@ HomeAgent::Access HomeAgent::cpu_read_line_impl(sim::Time now,
 }
 
 std::uint64_t HomeAgent::cpu_flush_all(sim::Time now) {
-  shard_.assert_held();
   if (observer_ != nullptr) {
     observer_->on_op_begin(now, check::Op::kFlushAll, 0);
   }
@@ -280,7 +274,6 @@ std::uint64_t HomeAgent::cpu_flush_all_impl(sim::Time now) {
 }
 
 HomeAgent::Access HomeAgent::device_read_line(sim::Time now, mem::Addr addr) {
-  shard_.assert_held();
   const mem::Addr line = mem::line_base(addr);
   if (!gc_.contains_line(line)) return Access{now, false};
   if (observer_ != nullptr) {
@@ -322,7 +315,6 @@ HomeAgent::Access HomeAgent::device_read_line_impl(sim::Time now,
 
 std::optional<cxl::Delivery> HomeAgent::device_write_line(sim::Time now,
                                                           mem::Addr addr) {
-  shard_.assert_held();
   const mem::Addr line = mem::line_base(addr);
   auto* region = gc_.find(line);
   if (region == nullptr) return std::nullopt;
@@ -381,7 +373,6 @@ std::optional<cxl::Delivery> HomeAgent::device_write_line_impl(
 }
 
 void HomeAgent::set_dba(sim::Time now, dba::DbaRegister reg) {
-  shard_.assert_held();
   aggregator_.set_register(reg);
   link_.send(cxl::Direction::kCpuToDevice, now,
              cxl::control_packet(cxl::MessageType::kDbaConfig, reg.encode()));

@@ -26,7 +26,6 @@
 
 #include "check/observer.hpp"
 #include "coherence/giant_cache.hpp"
-#include "core/annotations.hpp"
 #include "coherence/mesi.hpp"
 #include "coherence/snoop_filter.hpp"
 #include "cxl/link.hpp"
@@ -106,37 +105,19 @@ class HomeAgent {
   /// Program the DBA register; mirrors it to the device CXL module with a
   /// kDbaConfig message (Section V-C).
   void set_dba(sim::Time now, dba::DbaRegister reg);
-  dba::DbaRegister dba() const {
-    shard_.assert_held();
-    return aggregator_.reg();
-  }
+  dba::DbaRegister dba() const { return aggregator_.reg(); }
 
   /// CXLFENCE(): drain all in-flight coherence traffic.
   sim::Time cxl_fence(sim::Time now) const { return link_.fence_all(now); }
 
-  const HomeAgentStats& stats() const {
-    shard_.assert_held();
-    return stats_;
-  }
-  const SnoopFilter& snoop_filter() const {
-    shard_.assert_held();
-    return snoop_;
-  }
+  const HomeAgentStats& stats() const { return stats_; }
+  const SnoopFilter& snoop_filter() const { return snoop_; }
   /// Mutable directory access for fault injection and the model checker's
   /// mutation hooks. Pokes through this still notify any attached observer,
   /// so the strict checker judges them like any other transition.
-  SnoopFilter& snoop_filter() {
-    shard_.assert_held();
-    return snoop_;
-  }
-  const dba::Aggregator& aggregator() const {
-    shard_.assert_held();
-    return aggregator_;
-  }
-  const dba::Disaggregator& disaggregator() const {
-    shard_.assert_held();
-    return disaggregator_;
-  }
+  SnoopFilter& snoop_filter() { return snoop_; }
+  const dba::Aggregator& aggregator() const { return aggregator_; }
+  const dba::Disaggregator& disaggregator() const { return disaggregator_; }
   const GiantCache& giant_cache() const { return gc_; }
   const mem::Cache& cpu_cache() const { return cpu_cache_; }
   const cxl::Link& link() const { return link_; }
@@ -162,23 +143,17 @@ class HomeAgent {
   // sequence has quiesced.
   std::optional<cxl::Delivery> cpu_write_line_impl(sim::Time now,
                                                    mem::Addr line,
-                                                   GiantCacheRegion& region)
-      TECO_REQUIRES(shard_);
-  Access cpu_read_line_impl(sim::Time now, mem::Addr line)
-      TECO_REQUIRES(shard_);
-  Access device_read_line_impl(sim::Time now, mem::Addr line)
-      TECO_REQUIRES(shard_);
+                                                   GiantCacheRegion& region);
+  Access cpu_read_line_impl(sim::Time now, mem::Addr line);
+  Access device_read_line_impl(sim::Time now, mem::Addr line);
   std::optional<cxl::Delivery> device_write_line_impl(sim::Time now,
                                                       mem::Addr line,
-                                                      GiantCacheRegion& region)
-      TECO_REQUIRES(shard_);
-  std::uint64_t cpu_flush_all_impl(sim::Time now) TECO_REQUIRES(shard_);
+                                                      GiantCacheRegion& region);
+  std::uint64_t cpu_flush_all_impl(sim::Time now);
 
   cxl::Delivery push_line_to_device(sim::Time now, mem::Addr line,
-                                    const GiantCacheRegion& region)
-      TECO_REQUIRES(shard_);
-  cxl::Delivery push_line_to_cpu(sim::Time now, mem::Addr line)
-      TECO_REQUIRES(shard_);
+                                    const GiantCacheRegion& region);
+  cxl::Delivery push_line_to_cpu(sim::Time now, mem::Addr line);
 
   void trace(sim::Time now, std::string_view event, mem::Addr line,
              std::string detail = {});
@@ -191,15 +166,10 @@ class HomeAgent {
   mem::BackingStore* device_mem_;
   sim::Trace* trace_;
   check::Observer* observer_ = nullptr;
-  // The home agent is the unit of sharding (ROADMAP: N home-agent shards
-  // partitioned by address). Its directory, DBA units and counters are
-  // TECO_SHARD_AFFINE: the sharded engine may only reach them via events
-  // delivered to this shard's queue. docs/STATIC_ANALYSIS.md has the guide.
-  core::ShardCapability shard_;
-  SnoopFilter snoop_ TECO_SHARD_AFFINE(shard_);
-  dba::Aggregator aggregator_ TECO_SHARD_AFFINE(shard_);
-  dba::Disaggregator disaggregator_ TECO_SHARD_AFFINE(shard_);
-  HomeAgentStats stats_ TECO_SHARD_AFFINE(shard_);
+  SnoopFilter snoop_;
+  dba::Aggregator aggregator_;
+  dba::Disaggregator disaggregator_;
+  HomeAgentStats stats_;
   obs::Counter* m_dba_lines_ = nullptr;      ///< dba.lines_aggregated
   obs::Counter* m_dba_saved_ = nullptr;      ///< dba.bytes_saved
   obs::Counter* m_dba_fallback_ = nullptr;   ///< dba.fallback_full_lines

@@ -12,7 +12,6 @@
 #include <unordered_map>
 
 #include "check/observer.hpp"
-#include "core/annotations.hpp"
 #include "mem/address.hpp"
 
 namespace teco::coherence {
@@ -25,7 +24,6 @@ enum class Sharer : std::uint8_t {
 class SnoopFilter {
  public:
   void add_sharer(mem::Addr line, Sharer who) {
-    shard_.assert_held();
     std::uint8_t& mask = entries_[mem::line_index(line)];
     const std::uint8_t before = mask;
     mask |= static_cast<std::uint8_t>(who);
@@ -37,7 +35,6 @@ class SnoopFilter {
   }
 
   void remove_sharer(mem::Addr line, Sharer who) {
-    shard_.assert_held();
     const auto it = entries_.find(mem::line_index(line));
     if (it == entries_.end()) return;
     const std::uint8_t before = it->second;
@@ -50,7 +47,6 @@ class SnoopFilter {
   }
 
   bool is_sharer(mem::Addr line, Sharer who) const {
-    shard_.assert_held();
     const auto it = entries_.find(mem::line_index(line));
     return it != entries_.end() &&
            (it->second & static_cast<std::uint8_t>(who)) != 0;
@@ -59,43 +55,25 @@ class SnoopFilter {
   /// Raw sharer bitmask for `line` (0 when untracked). The model checker
   /// folds this into its canonical state vector.
   std::uint8_t sharer_mask(mem::Addr line) const {
-    shard_.assert_held();
     const auto it = entries_.find(mem::line_index(line));
     return it == entries_.end() ? 0 : it->second;
   }
 
-  std::size_t entries() const {
-    shard_.assert_held();
-    return entries_.size();
-  }
-  std::size_t peak_entries() const {
-    shard_.assert_held();
-    return peak_entries_;
-  }
+  std::size_t entries() const { return entries_.size(); }
+  std::size_t peak_entries() const { return peak_entries_; }
 
   /// Directory SRAM cost at ~2 B/entry, the figure the paper's "saves
   /// memory space" claim compares against.
-  std::uint64_t approx_bytes() const {
-    shard_.assert_held();
-    return peak_entries_ * 2;
-  }
+  std::uint64_t approx_bytes() const { return peak_entries_ * 2; }
 
-  void clear() {
-    shard_.assert_held();
-    entries_.clear();
-  }
+  void clear() { entries_.clear(); }
 
   /// Attach/detach the coherence invariant checker (nullptr to detach).
   void set_observer(check::Observer* obs) { observer_ = obs; }
 
  private:
-  // Directory state is owned by the home-agent shard that owns this line
-  // range; under the sharded engine no other shard may read or mutate it
-  // directly (docs/STATIC_ANALYSIS.md, annotation guide).
-  core::ShardCapability shard_;
-  std::unordered_map<std::uint64_t, std::uint8_t> entries_
-      TECO_SHARD_AFFINE(shard_);
-  std::size_t peak_entries_ TECO_SHARD_AFFINE(shard_) = 0;
+  std::unordered_map<std::uint64_t, std::uint8_t> entries_;
+  std::size_t peak_entries_ = 0;
   check::Observer* observer_ = nullptr;
 };
 

@@ -39,7 +39,6 @@ void scatter_low_bytes(std::uint8_t n, const std::uint8_t* payload,
 }
 
 Payload Aggregator::pack(const mem::BackingStore::Line& line) const {
-  shard_.assert_held();
   ++lines_processed_;
   Payload p;
   if (reg_.trims()) {

@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "check/observer.hpp"
-#include "core/annotations.hpp"
 #include "dba/dba_register.hpp"
 #include "mem/backing_store.hpp"
 #include "sim/time.hpp"
@@ -59,14 +58,8 @@ class Aggregator {
  public:
   explicit Aggregator(DbaRegister reg = {}) : reg_(reg) {}
 
-  void set_register(DbaRegister reg) {
-    shard_.assert_held();
-    reg_ = reg;
-  }
-  DbaRegister reg() const {
-    shard_.assert_held();
-    return reg_;
-  }
+  void set_register(DbaRegister reg) { reg_ = reg; }
+  DbaRegister reg() const { return reg_; }
 
   /// Pack one 64-byte line. If DBA is inactive (or dirty_bytes == 4) the
   /// full line is returned unchanged (the "bypass" path).
@@ -74,27 +67,19 @@ class Aggregator {
 
   /// Wire payload size for one line under the current register.
   std::uint32_t packed_bytes() const {
-    shard_.assert_held();
     return reg_.trims() ? payload_bytes(reg_.dirty_bytes())
                         : static_cast<std::uint32_t>(mem::kLineBytes);
   }
 
-  std::uint64_t lines_processed() const {
-    shard_.assert_held();
-    return lines_processed_;
-  }
+  std::uint64_t lines_processed() const { return lines_processed_; }
 
   /// Attach/detach the coherence invariant checker (nullptr to detach).
   void set_observer(check::Observer* obs) { observer_ = obs; }
 
  private:
-  // The CPU-side DBA register bank is home-agent-shard state (the kDbaConfig
-  // mirror keeps the device side in sync through the protocol, not through
-  // shared memory).
-  core::ShardCapability shard_;
-  DbaRegister reg_ TECO_SHARD_AFFINE(shard_);
+  DbaRegister reg_;
   check::Observer* observer_ = nullptr;
-  mutable std::uint64_t lines_processed_ TECO_SHARD_AFFINE(shard_) = 0;
+  mutable std::uint64_t lines_processed_ = 0;
 };
 
 }  // namespace teco::dba

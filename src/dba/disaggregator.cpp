@@ -10,7 +10,6 @@ namespace teco::dba {
 mem::BackingStore::Line Disaggregator::merge(
     const mem::BackingStore::Line& old_line,
     std::span<const std::uint8_t> payload) const {
-  shard_.assert_held();
   ++lines_processed_;
   if (!reg_.trims()) {
     if (payload.size() != mem::kLineBytes) {

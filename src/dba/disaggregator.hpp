@@ -11,7 +11,6 @@
 #include <span>
 
 #include "check/observer.hpp"
-#include "core/annotations.hpp"
 #include "dba/dba_register.hpp"
 #include "mem/backing_store.hpp"
 
@@ -22,41 +21,26 @@ class Disaggregator {
   explicit Disaggregator(DbaRegister reg = {}) : reg_(reg) {}
 
   /// Device-side register mirror, set by the kDbaConfig message.
-  void set_register(DbaRegister reg) {
-    shard_.assert_held();
-    reg_ = reg;
-  }
-  DbaRegister reg() const {
-    shard_.assert_held();
-    return reg_;
-  }
+  void set_register(DbaRegister reg) { reg_ = reg; }
+  DbaRegister reg() const { return reg_; }
 
   /// Merge a payload (16*N bytes if trimming, else a full 64-byte line)
   /// into `old_line`, returning the reconstructed line.
   mem::BackingStore::Line merge(const mem::BackingStore::Line& old_line,
                                 std::span<const std::uint8_t> payload) const;
 
-  std::uint64_t lines_processed() const {
-    shard_.assert_held();
-    return lines_processed_;
-  }
+  std::uint64_t lines_processed() const { return lines_processed_; }
   /// Extra giant-cache reads performed for merges (VIII-D amplification).
-  std::uint64_t extra_reads() const {
-    shard_.assert_held();
-    return extra_reads_;
-  }
+  std::uint64_t extra_reads() const { return extra_reads_; }
 
   /// Attach/detach the coherence invariant checker (nullptr to detach).
   void set_observer(check::Observer* obs) { observer_ = obs; }
 
  private:
-  // Device-side register mirror: owned by the shard of the home agent that
-  // programs it via kDbaConfig messages.
-  core::ShardCapability shard_;
-  DbaRegister reg_ TECO_SHARD_AFFINE(shard_);
+  DbaRegister reg_;
   check::Observer* observer_ = nullptr;
-  mutable std::uint64_t lines_processed_ TECO_SHARD_AFFINE(shard_) = 0;
-  mutable std::uint64_t extra_reads_ TECO_SHARD_AFFINE(shard_) = 0;
+  mutable std::uint64_t lines_processed_ = 0;
+  mutable std::uint64_t extra_reads_ = 0;
 };
 
 /// Bit-exact FP32 splice used by the numeric training path: keep the high

@@ -155,17 +155,14 @@ PoolAllReduce::PoolAllReduce(const FabricConfig& cfg)
 
 void PoolAllReduce::set_node_gradients(std::uint32_t node,
                                        std::span<const float> values) {
-  shard_.assert_held();
   nodes_.at(node)->set_gradients(values);
 }
 
 std::vector<float> PoolAllReduce::node_result(std::uint32_t node) const {
-  shard_.assert_held();
   return nodes_.at(node)->result_values();
 }
 
 AllReduceReport PoolAllReduce::run_step() {
-  shard_.assert_held();
   AllReduceReport r;
   r.step = step_;
   r.started = eq_.now();
@@ -236,7 +233,6 @@ void PoolAllReduce::pump_streams(sim::Time start,
       std::make_shared<std::function<void(std::uint32_t, std::uint64_t)>>();
   *pump = [this, op, lines, self = std::weak_ptr(pump), tag](
               std::uint32_t n, std::uint64_t line) {
-    shard_.assert_held();
     const sim::Time now = eq_.now();
     const auto d = (this->*op)(n, line, now);
     if (line + 1 >= lines) return;

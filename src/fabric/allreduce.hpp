@@ -28,7 +28,6 @@
 
 #include "check/protocol_checker.hpp"
 #include "coherence/home_agent.hpp"
-#include "core/annotations.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/pool.hpp"
 #include "fabric/switch.hpp"
@@ -149,10 +148,7 @@ class PoolAllReduce {
   FabricNode& node(std::uint32_t i) { return *nodes_.at(i); }
   obs::MetricsRegistry& registry() { return metrics_; }
   sim::Time now() const { return eq_.now(); }
-  std::uint64_t steps_run() const {
-    shard_.assert_held();
-    return step_;
-  }
+  std::uint64_t steps_run() const { return step_; }
 
   /// Wire the causal DAG (must outlive the collective; nullptr = off): the
   /// graph becomes the event queue's provenance sink — every self-paced
@@ -160,7 +156,6 @@ class PoolAllReduce {
   /// run_step() appends a phase chain whose critical-path attribution over
   /// the step interval lands in AllReduceReport::attribution.
   void set_causal(obs::causal::CausalGraph* g) {
-    shard_.assert_held();
     causal_ = g;
     eq_.set_causal_sink(g);
   }
@@ -169,46 +164,41 @@ class PoolAllReduce {
   using StreamOp = std::optional<cxl::Delivery> (PoolAllReduce::*)(
       std::uint32_t node, std::uint64_t line, sim::Time now);
 
-  void run_dba_merge(AllReduceReport& r) TECO_REQUIRES(shard_);
-  void run_pool_staging(AllReduceReport& r) TECO_REQUIRES(shard_);
-  void run_per_link(AllReduceReport& r) TECO_REQUIRES(shard_);
+  void run_dba_merge(AllReduceReport& r);
+  void run_pool_staging(AllReduceReport& r);
+  void run_per_link(AllReduceReport& r);
 
   /// Run `op(node, line)` as a self-paced line stream per node, all nodes
   /// concurrently on the event queue (this is where port contention
   /// happens); drains the queue before returning. `tag` is the causal
   /// category every stream event of this phase is stamped with.
   void pump_streams(sim::Time start, const std::vector<std::uint32_t>& nodes,
-                    StreamOp op, std::uint8_t tag) TECO_REQUIRES(shard_);
+                    StreamOp op, std::uint8_t tag);
 
   std::optional<cxl::Delivery> op_push(std::uint32_t node, std::uint64_t line,
-                                       sim::Time now) TECO_REQUIRES(shard_);
+                                       sim::Time now);
   std::optional<cxl::Delivery> op_broadcast(std::uint32_t node,
-                                            std::uint64_t line, sim::Time now)
-      TECO_REQUIRES(shard_);
+                                            std::uint64_t line, sim::Time now);
 
   /// Fence every node; returns the barrier time and advances the queue.
-  sim::Time fence_all() TECO_REQUIRES(shard_);
+  sim::Time fence_all();
 
   /// The fabric-level invariants (shared-port packet conservation, merge
   /// watchdog); throws std::runtime_error on violation.
-  void check_fabric(const char* phase) TECO_REQUIRES(shard_);
+  void check_fabric(const char* phase);
 
   FabricConfig cfg_;
   obs::MetricsRegistry metrics_;  ///< First member: outlives every recorder.
-  core::ShardCapability shard_;
   sim::EventQueue eq_;
-  /// The all-reduce owns its queue: gather/fold/commit pump lambdas and
-  /// switch deliveries all run on this shard.
-  TECO_QUEUE_CONTEXT(eq_);
   PooledMemory pool_;
   CxlSwitch switch_;
-  std::vector<mem::Region> contributions_ TECO_SHARD_AFFINE(shard_);
-  mem::Region result_ TECO_SHARD_AFFINE(shard_);
-  std::unique_ptr<ReduceUnit> reduce_ TECO_SHARD_AFFINE(shard_);
-  std::vector<std::unique_ptr<FabricNode>> nodes_ TECO_SHARD_AFFINE(shard_);
-  std::uint64_t step_ TECO_SHARD_AFFINE(shard_) = 0;
-  obs::causal::CausalGraph* causal_ TECO_SHARD_AFFINE(shard_) = nullptr;
-  std::uint32_t causal_tail_ TECO_SHARD_AFFINE(shard_) = sim::kNoCausalNode;
+  std::vector<mem::Region> contributions_;
+  mem::Region result_;
+  std::unique_ptr<ReduceUnit> reduce_;
+  std::vector<std::unique_ptr<FabricNode>> nodes_;
+  std::uint64_t step_ = 0;
+  obs::causal::CausalGraph* causal_ = nullptr;
+  std::uint32_t causal_tail_ = sim::kNoCausalNode;
   obs::Counter* m_steps_ = nullptr;
   obs::Counter* m_up_bytes_ = nullptr;
   obs::Counter* m_down_bytes_ = nullptr;

@@ -15,7 +15,6 @@ PooledMemory::PooledMemory(std::uint64_t capacity_bytes, mem::Addr base)
 std::optional<mem::Region> PooledMemory::try_carve(std::string name,
                                                    std::uint32_t owner,
                                                    std::uint64_t bytes) {
-  shard_.assert_held();
   const std::uint64_t rounded =
       (bytes + mem::kLineBytes - 1) / mem::kLineBytes * mem::kLineBytes;
   if (rounded == 0 || carved_ + rounded > capacity_) {
@@ -32,7 +31,6 @@ std::optional<mem::Region> PooledMemory::try_carve(std::string name,
 }
 
 void PooledMemory::set_metrics(obs::MetricsRegistry* reg) {
-  shard_.assert_held();
   if (reg == nullptr) {
     m_carved_ = nullptr;
     m_rejects_ = nullptr;
@@ -62,7 +60,6 @@ ReduceUnit::ReduceUnit(PooledMemory& pool,
 }
 
 void ReduceUnit::begin_step() {
-  shard_.assert_held();
   std::fill(acc_.begin(), acc_.end(), 0.0f);
   std::fill(counts_.begin(), counts_.end(), 0);
   for (auto& order : fold_order_) order.clear();
@@ -70,7 +67,6 @@ void ReduceUnit::begin_step() {
 
 sim::Time ReduceUnit::fold(sim::Time now, std::uint32_t node,
                            std::uint64_t line) {
-  shard_.assert_held();
   if (node >= contributions_.size() || line >= lines_) {
     throw std::out_of_range("ReduceUnit::fold: node or line out of range");
   }
@@ -87,7 +83,6 @@ sim::Time ReduceUnit::fold(sim::Time now, std::uint32_t node,
 }
 
 sim::Time ReduceUnit::commit(sim::Time now, std::uint64_t line) {
-  shard_.assert_held();
   if (line >= lines_) {
     throw std::out_of_range("ReduceUnit::commit: line out of range");
   }
@@ -101,18 +96,15 @@ sim::Time ReduceUnit::commit(sim::Time now, std::uint64_t line) {
 
 std::uint32_t ReduceUnit::fold_count(std::uint64_t line,
                                      std::uint32_t node) const {
-  shard_.assert_held();
   return counts_.at(line * contributions_.size() + node);
 }
 
 std::span<const float> ReduceUnit::accumulator(std::uint64_t line) const {
-  shard_.assert_held();
   return std::span<const float>(&acc_[line * mem::kWordsPerLine],
                                 mem::kWordsPerLine);
 }
 
 std::optional<std::string> ReduceUnit::check_invariants() const {
-  shard_.assert_held();
   for (std::uint64_t line = 0; line < lines_; ++line) {
     for (std::uint32_t n = 0; n < contributions_.size(); ++n) {
       if (counts_[line * contributions_.size() + n] > 1) {
@@ -142,7 +134,6 @@ std::optional<std::string> ReduceUnit::check_invariants() const {
 }
 
 void ReduceUnit::set_metrics(obs::MetricsRegistry* reg) {
-  shard_.assert_held();
   if (reg == nullptr) {
     m_folds_ = nullptr;
     m_commits_ = nullptr;

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "core/annotations.hpp"
 #include "mem/address.hpp"
 #include "mem/backing_store.hpp"
 #include "obs/metrics.hpp"
@@ -54,18 +53,9 @@ class PooledMemory {
                                        std::uint64_t bytes);
 
   std::uint64_t capacity_bytes() const { return capacity_; }
-  std::uint64_t carved_bytes() const {
-    shard_.assert_held();
-    return carved_;
-  }
-  std::uint64_t admission_rejects() const {
-    shard_.assert_held();
-    return rejects_;
-  }
-  const std::vector<Carveout>& carveouts() const {
-    shard_.assert_held();
-    return carveouts_;
-  }
+  std::uint64_t carved_bytes() const { return carved_; }
+  std::uint64_t admission_rejects() const { return rejects_; }
+  const std::vector<Carveout>& carveouts() const { return carveouts_; }
 
   /// The pool's bytes. Every attached node's home agent uses this store as
   /// its CPU/home side, so protocol pushes land here and demand reads are
@@ -78,11 +68,10 @@ class PooledMemory {
 
  private:
   std::uint64_t capacity_;
-  core::ShardCapability shard_;
-  mem::Addr next_ TECO_SHARD_AFFINE(shard_);
-  std::uint64_t carved_ TECO_SHARD_AFFINE(shard_) = 0;
-  std::uint64_t rejects_ TECO_SHARD_AFFINE(shard_) = 0;
-  std::vector<Carveout> carveouts_ TECO_SHARD_AFFINE(shard_);
+  mem::Addr next_;
+  std::uint64_t carved_ = 0;
+  std::uint64_t rejects_ = 0;
+  std::vector<Carveout> carveouts_;
   mem::BackingStore store_;
   obs::Gauge* m_carved_ = nullptr;
   obs::Counter* m_rejects_ = nullptr;
@@ -111,14 +100,8 @@ class ReduceUnit {
   std::uint64_t lines() const { return lines_; }
   std::uint32_t fold_count(std::uint64_t line, std::uint32_t node) const;
   std::span<const float> accumulator(std::uint64_t line) const;
-  std::uint64_t folds() const {
-    shard_.assert_held();
-    return folds_;
-  }
-  std::uint64_t commits() const {
-    shard_.assert_held();
-    return commits_;
-  }
+  std::uint64_t folds() const { return folds_; }
+  std::uint64_t commits() const { return commits_; }
 
   /// The merge watchdog (see file header). Returns a diagnostic on the
   /// first violated line, nullopt when every invariant holds.
@@ -132,16 +115,14 @@ class ReduceUnit {
   std::vector<mem::Region> contributions_;
   mem::Region result_;
   std::uint64_t lines_;
-  core::ShardCapability shard_;
-  std::vector<float> acc_ TECO_SHARD_AFFINE(shard_);
+  std::vector<float> acc_;
   /// Folds applied this step, [line * nodes + node].
-  std::vector<std::uint8_t> counts_ TECO_SHARD_AFFINE(shard_);
+  std::vector<std::uint8_t> counts_;
   /// Node order the folds were applied in, per line (the exact-recompute
   /// oracle's order).
-  std::vector<std::vector<std::uint32_t>> fold_order_
-      TECO_SHARD_AFFINE(shard_);
-  std::uint64_t folds_ TECO_SHARD_AFFINE(shard_) = 0;
-  std::uint64_t commits_ TECO_SHARD_AFFINE(shard_) = 0;
+  std::vector<std::vector<std::uint32_t>> fold_order_;
+  std::uint64_t folds_ = 0;
+  std::uint64_t commits_ = 0;
   obs::Counter* m_folds_ = nullptr;
   obs::Counter* m_commits_ = nullptr;
 };

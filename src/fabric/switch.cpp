@@ -19,7 +19,6 @@ CxlSwitch::CxlSwitch(const FabricConfig& cfg)
       ports_(cfg.nodes) {}
 
 void CxlSwitch::attach(std::uint32_t node, cxl::Link& link) {
-  shard_.assert_held();
   if (node >= ports_.size()) {
     throw std::invalid_argument("CxlSwitch::attach: node " +
                                 std::to_string(node) + " out of range");
@@ -32,28 +31,19 @@ void CxlSwitch::attach(std::uint32_t node, cxl::Link& link) {
   link.set_forwarder(ports_[node].get());
 }
 
-const PortStats& CxlSwitch::to_pool() const {
-  shard_.assert_held();
-  return port_stats_[0];
-}
+const PortStats& CxlSwitch::to_pool() const { return port_stats_[0]; }
 
-const PortStats& CxlSwitch::from_pool() const {
-  shard_.assert_held();
-  return port_stats_[1];
-}
+const PortStats& CxlSwitch::from_pool() const { return port_stats_[1]; }
 
 const NodePortStats& CxlSwitch::node_stats(std::uint32_t node) const {
-  shard_.assert_held();
   return node_stats_.at(node);
 }
 
 sim::Time CxlSwitch::drain(cxl::Direction dir) const {
-  shard_.assert_held();
   return port(dir).drain_time();
 }
 
 void CxlSwitch::set_metrics(obs::MetricsRegistry* reg) {
-  shard_.assert_held();
   if (reg == nullptr) {
     for (int i = 0; i < 2; ++i) {
       m_pkts_[i] = m_bytes_[i] = m_queue_us_[i] = nullptr;
@@ -72,7 +62,6 @@ void CxlSwitch::set_metrics(obs::MetricsRegistry* reg) {
 cxl::Delivery CxlSwitch::forward(std::uint32_t node, cxl::Direction dir,
                                  const cxl::Packet& pkt, std::uint64_t n,
                                  const cxl::Delivery& local) {
-  shard_.assert_held();
   const int idx = dir == cxl::Direction::kDeviceToCpu ? 0 : 1;
   cxl::Channel& ch = idx == 0 ? to_pool_ch_ : from_pool_ch_;
 

@@ -23,7 +23,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/annotations.hpp"
 #include "cxl/channel.hpp"
 #include "cxl/link.hpp"
 #include "fabric/fabric.hpp"
@@ -100,19 +99,15 @@ class CxlSwitch {
                         const cxl::Packet& pkt, std::uint64_t n,
                         const cxl::Delivery& local);
 
-  // Switch state is one shard: every forward() serializes through the
-  // shared-port clamp, so the sharded engine must route all attached
-  // nodes' egress through this shard's queue.
-  core::ShardCapability shard_;
-  cxl::Channel to_pool_ch_ TECO_SHARD_AFFINE(shard_);
-  cxl::Channel from_pool_ch_ TECO_SHARD_AFFINE(shard_);
+  cxl::Channel to_pool_ch_;
+  cxl::Channel from_pool_ch_;
   /// Last shared-port entry time per direction ([0]=to_pool, [1]=from_pool);
   /// clamping to it keeps the channel's nondecreasing-ready contract across
   /// N producers and realizes FIFO arrival-order arbitration.
-  sim::Time last_ready_[2] TECO_SHARD_AFFINE(shard_) = {0.0, 0.0};
-  PortStats port_stats_[2] TECO_SHARD_AFFINE(shard_);
-  std::vector<NodePortStats> node_stats_ TECO_SHARD_AFFINE(shard_);
-  std::vector<std::unique_ptr<Port>> ports_ TECO_SHARD_AFFINE(shard_);
+  sim::Time last_ready_[2] = {0.0, 0.0};
+  PortStats port_stats_[2];
+  std::vector<NodePortStats> node_stats_;
+  std::vector<std::unique_ptr<Port>> ports_;
   obs::Counter* m_pkts_[2] = {nullptr, nullptr};
   obs::Counter* m_bytes_[2] = {nullptr, nullptr};
   obs::Counter* m_queue_us_[2] = {nullptr, nullptr};

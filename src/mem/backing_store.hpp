@@ -14,7 +14,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/annotations.hpp"
 #include "mem/address.hpp"
 
 namespace teco::mem {
@@ -25,26 +24,22 @@ class BackingStore {
 
   /// Read the 64-byte line containing `addr` (zeros if never written).
   Line read_line(Addr addr) const {
-    shard_.assert_held();
     const auto it = lines_.find(line_index(addr));
     if (it == lines_.end()) return Line{};
     return it->second;
   }
 
   void write_line(Addr addr, const Line& data) {
-    shard_.assert_held();
     lines_[line_index(addr)] = data;
   }
 
   bool contains_line(Addr addr) const {
-    shard_.assert_held();
     return lines_.contains(line_index(addr));
   }
 
   /// Byte-granular accessors that may straddle lines. Both move a line at a
   /// time: one table lookup and one copy per line the range touches.
   void write(Addr addr, std::span<const std::uint8_t> bytes) {
-    shard_.assert_held();
     for (std::size_t done = 0; done < bytes.size();) {
       const std::size_t off = (addr + done) % kLineBytes;
       const std::size_t n = std::min(bytes.size() - done, kLineBytes - off);
@@ -55,7 +50,6 @@ class BackingStore {
   }
 
   void read(Addr addr, std::span<std::uint8_t> out) const {
-    shard_.assert_held();
     for (std::size_t done = 0; done < out.size();) {
       const std::size_t off = (addr + done) % kLineBytes;
       const std::size_t n = std::min(out.size() - done, kLineBytes - off);
@@ -88,14 +82,8 @@ class BackingStore {
 
   void write_f32(Addr addr, float f) { write_f32s(addr, {&f, 1}); }
 
-  std::size_t resident_lines() const {
-    shard_.assert_held();
-    return lines_.size();
-  }
-  void clear() {
-    shard_.assert_held();
-    lines_.clear();
-  }
+  std::size_t resident_lines() const { return lines_.size(); }
+  void clear() { lines_.clear(); }
 
   /// Visit every resident line as (line base address, contents), in
   /// ascending address order. The order is a contract, not a convenience:
@@ -105,7 +93,6 @@ class BackingStore {
   /// stop being bit-identical. tests/lint_test.cpp pins this.
   template <typename Fn>
   void for_each_line(Fn&& fn) const {
-    shard_.assert_held();
     std::vector<std::uint64_t> indices;
     indices.reserve(lines_.size());
     // Keys are sorted below before any order escapes to the visitor.
@@ -118,10 +105,7 @@ class BackingStore {
   }
 
  private:
-  // Byte contents belong to the shard that owns this address range;
-  // cross-shard reads must go through the coherence protocol, not here.
-  core::ShardCapability shard_;
-  std::unordered_map<std::uint64_t, Line> lines_ TECO_SHARD_AFFINE(shard_);
+  std::unordered_map<std::uint64_t, Line> lines_;
 };
 
 }  // namespace teco::mem

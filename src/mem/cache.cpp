@@ -12,7 +12,6 @@ CacheConfig llc_config() {
 }
 
 Cache::Cache(CacheConfig cfg) : cfg_(cfg) {
-  shard_.assert_held();
   if (cfg_.size_bytes == 0 || cfg_.ways == 0 || cfg_.line_bytes == 0) {
     throw std::invalid_argument("cache config fields must be nonzero");
   }
@@ -31,7 +30,6 @@ const std::vector<CacheLineMeta>& Cache::set_for(Addr addr) const {
 }
 
 CacheLineMeta* Cache::lookup(Addr addr) {
-  shard_.assert_held();
   const Addr base = line_base(addr);
   for (auto& line : set_for(addr)) {
     if (line.valid && line.base == base) {
@@ -45,7 +43,6 @@ CacheLineMeta* Cache::lookup(Addr addr) {
 }
 
 const CacheLineMeta* Cache::peek(Addr addr) const {
-  shard_.assert_held();
   const Addr base = line_base(addr);
   for (const auto& line : set_for(addr)) {
     if (line.valid && line.base == base) return &line;
@@ -54,7 +51,6 @@ const CacheLineMeta* Cache::peek(Addr addr) const {
 }
 
 CacheLineMeta& Cache::insert(Addr addr, std::uint8_t state, bool dirty) {
-  shard_.assert_held();
   const Addr base = line_base(addr);
   auto& set = set_for(addr);
   for (auto& line : set) {
@@ -96,7 +92,6 @@ CacheLineMeta& Cache::insert(Addr addr, std::uint8_t state, bool dirty) {
 }
 
 bool Cache::invalidate(Addr addr, bool writeback_on_invalidate) {
-  shard_.assert_held();
   const Addr base = line_base(addr);
   for (auto& line : set_for(addr)) {
     if (line.valid && line.base == base) {
@@ -116,7 +111,6 @@ bool Cache::invalidate(Addr addr, bool writeback_on_invalidate) {
 }
 
 std::uint64_t Cache::flush_dirty() {
-  shard_.assert_held();
   std::uint64_t n = 0;
   for (auto& set : sets_) {
     for (auto& line : set) {
@@ -132,14 +126,12 @@ std::uint64_t Cache::flush_dirty() {
 }
 
 void Cache::reset() {
-  shard_.assert_held();
   for (auto& set : sets_) set.clear();
   stats_ = CacheStats{};
   tick_ = 0;
 }
 
 std::uint64_t Cache::resident_lines() const {
-  shard_.assert_held();
   std::uint64_t n = 0;
   for (const auto& set : sets_) {
     for (const auto& line : set) {
@@ -151,7 +143,6 @@ std::uint64_t Cache::resident_lines() const {
 
 void Cache::for_each(
     const std::function<void(const CacheLineMeta&)>& fn) const {
-  shard_.assert_held();
   for (const auto& set : sets_) {
     for (const auto& line : set) {
       if (line.valid) fn(line);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "check/observer.hpp"
-#include "core/annotations.hpp"
 #include "mem/address.hpp"
 
 namespace teco::mem {
@@ -92,20 +91,15 @@ class Cache {
   void for_each(const std::function<void(const CacheLineMeta&)>& fn) const;
 
  private:
-  std::vector<CacheLineMeta>& set_for(Addr addr) TECO_REQUIRES(shard_);
-  const std::vector<CacheLineMeta>& set_for(Addr addr) const
-      TECO_REQUIRES(shard_);
+  std::vector<CacheLineMeta>& set_for(Addr addr);
+  const std::vector<CacheLineMeta>& set_for(Addr addr) const;
 
   CacheConfig cfg_;
-  // Tag/LRU/stats state is per-shard: the sharded engine gives each shard
-  // its own cache slice, and lookups from another shard are a bug, not a
-  // miss. See docs/STATIC_ANALYSIS.md.
-  core::ShardCapability shard_;
-  std::vector<std::vector<CacheLineMeta>> sets_ TECO_SHARD_AFFINE(shard_);
+  std::vector<std::vector<CacheLineMeta>> sets_;
   WritebackFn writeback_;
   check::Observer* observer_ = nullptr;
-  CacheStats stats_ TECO_SHARD_AFFINE(shard_);
-  std::uint64_t tick_ TECO_SHARD_AFFINE(shard_) = 0;
+  CacheStats stats_;
+  std::uint64_t tick_ = 0;
 };
 
 }  // namespace teco::mem

@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "core/annotations.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
@@ -98,17 +97,12 @@ class CausalGraph final {
       override
 #endif
   {
-    // Runs inside the owning queue's dispatch (EventQueue::schedule_at
-    // holds its shard token when it calls the sink), so the graph is
-    // mutated on whichever shard drives that queue — shard-affine state.
-    shard_.assert_held();
     return push(Node{parent, static_cast<Category>(tag), scheduled, when});
   }
 
   /// Append a closed-form node covering [from, when] explicitly.
   std::uint32_t add(Category cat, sim::Time when, std::uint32_t parent,
                     sim::Time from) {
-    shard_.assert_held();
     return push(Node{parent, cat, from, when});
   }
 
@@ -116,38 +110,24 @@ class CausalGraph final {
   /// the parent's `when` (or collapsing to an instant for roots).
   std::uint32_t add(Category cat, sim::Time when,
                     std::uint32_t parent = sim::kNoCausalNode) {
-    shard_.assert_held();
     return add(cat, when, parent,
                parent < nodes_.size() ? nodes_[parent].when : when);
   }
 
-  const Node& node(std::uint32_t id) const {
-    shard_.assert_held();
-    return nodes_[id];
-  }
-  std::size_t size() const {
-    shard_.assert_held();
-    return nodes_.size();
-  }
-  bool empty() const {
-    shard_.assert_held();
-    return nodes_.empty();
-  }
+  const Node& node(std::uint32_t id) const { return nodes_[id]; }
+  std::size_t size() const { return nodes_.size(); }
+  bool empty() const { return nodes_.empty(); }
   /// Nodes rejected because the bound was hit.
-  std::uint64_t dropped() const {
-    shard_.assert_held();
-    return dropped_;
-  }
+  std::uint64_t dropped() const { return dropped_; }
   std::size_t max_nodes() const { return max_nodes_; }
 
   void clear() {
-    shard_.assert_held();
     nodes_.clear();
     dropped_ = 0;
   }
 
  private:
-  std::uint32_t push(const Node& n) TECO_REQUIRES(shard_) {
+  std::uint32_t push(const Node& n) {
     if (nodes_.size() >= max_nodes_) {
       ++dropped_;
       return sim::kNoCausalNode;
@@ -156,10 +136,9 @@ class CausalGraph final {
     return static_cast<std::uint32_t>(nodes_.size() - 1);
   }
 
-  core::ShardCapability shard_;
   std::size_t max_nodes_;
-  std::vector<Node> nodes_ TECO_SHARD_AFFINE(shard_);
-  std::uint64_t dropped_ TECO_SHARD_AFFINE(shard_) = 0;
+  std::vector<Node> nodes_;
+  std::uint64_t dropped_ = 0;
 };
 
 /// One hop of the extracted critical path. `node` is sim::kNoCausalNode

@@ -69,7 +69,6 @@ sim::Time ArrivalProcess::next_gap() {
 }
 
 std::optional<Request> ArrivalProcess::next() {
-  shard_.assert_held();
   if (cfg_.arrival == ArrivalKind::kTrace) {
     if (emitted_ >= cfg_.trace.size()) return std::nullopt;
     const TraceRequest& t = cfg_.trace[emitted_];

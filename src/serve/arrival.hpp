@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/annotations.hpp"
 #include "serve/serve.hpp"
 #include "sim/rng.hpp"
 
@@ -28,26 +27,22 @@ class ArrivalProcess {
   std::optional<Request> next();
 
   /// Requests emitted so far.
-  std::uint64_t emitted() const {
-    shard_.assert_held();
-    return emitted_;
-  }
+  std::uint64_t emitted() const { return emitted_; }
 
  private:
-  sim::Time next_gap() TECO_REQUIRES(shard_);
-  std::uint32_t sample_tokens(std::uint32_t median) TECO_REQUIRES(shard_);
+  sim::Time next_gap();
+  std::uint32_t sample_tokens(std::uint32_t median);
 
   const ServeConfig& cfg_;
-  core::ShardCapability shard_;
   /// Decorrelated streams: interarrival draws never perturb length draws,
   /// so changing the offered rate does not reshuffle request geometry.
-  sim::Rng gap_rng_ TECO_SHARD_AFFINE(shard_);
-  sim::Rng len_rng_ TECO_SHARD_AFFINE(shard_);
-  sim::Time now_ TECO_SHARD_AFFINE(shard_) = 0.0;
-  std::uint64_t emitted_ TECO_SHARD_AFFINE(shard_) = 0;
+  sim::Rng gap_rng_;
+  sim::Rng len_rng_;
+  sim::Time now_ = 0.0;
+  std::uint64_t emitted_ = 0;
   // Bursty (MMPP) state: time left in the current dwell window.
-  bool in_burst_ TECO_SHARD_AFFINE(shard_) = false;
-  sim::Time dwell_left_ TECO_SHARD_AFFINE(shard_) = 0.0;
+  bool in_burst_ = false;
+  sim::Time dwell_left_ = 0.0;
 };
 
 }  // namespace teco::serve

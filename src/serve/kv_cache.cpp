@@ -35,10 +35,7 @@ KvCacheManager::KvCacheManager(const ServeConfig& cfg, sim::EventQueue& q,
       g_hbm_used_(reg.gauge("serve.kv.hbm_used_bytes")),
       g_hbm_peak_(reg.gauge("serve.kv.hbm_peak_bytes")) {}
 
-void KvCacheManager::add_session(std::uint64_t id) {
-  shard_.assert_held();
-  entries_[id] = Entry{};
-}
+void KvCacheManager::add_session(std::uint64_t id) { entries_[id] = Entry{}; }
 
 void KvCacheManager::charge_hbm(std::uint64_t bytes) {
   hbm_used_ += bytes;
@@ -51,7 +48,6 @@ void KvCacheManager::charge_hbm(std::uint64_t bytes) {
 
 void KvCacheManager::append(std::uint64_t id, std::uint64_t bytes,
                             sim::Time t) {
-  shard_.assert_held();
   auto it = entries_.find(id);
   if (it == entries_.end()) return;
   Entry& e = it->second;
@@ -99,7 +95,6 @@ sim::Time KvCacheManager::evict(std::uint64_t id, Entry& e, sim::Time t) {
 }
 
 sim::Time KvCacheManager::ensure_capacity(std::uint64_t extra, sim::Time t) {
-  shard_.assert_held();
   sim::Time avail = t;
   if (hbm_used_ + extra <= cfg_.hbm_kv_bytes) return avail;
   if (cfg_.policy == tier::Policy::kAllHbm) {
@@ -135,7 +130,6 @@ sim::Time KvCacheManager::ensure_capacity(std::uint64_t extra, sim::Time t) {
 
 sim::Time KvCacheManager::ensure_resident(std::uint64_t id, sim::Time t,
                                           bool demand) {
-  shard_.assert_held();
   auto it = entries_.find(id);
   if (it == entries_.end()) return t;
   Entry& e = it->second;
@@ -178,7 +172,6 @@ sim::Time KvCacheManager::ensure_resident(std::uint64_t id, sim::Time t,
   sim::TagScope cat_scope(q_,
                           obs::causal::tag(obs::causal::Category::kCxlDown));
   q_.schedule_at(d.delivered, [this, id, tag] {
-    shard_.assert_held();
     auto fit = entries_.find(id);
     if (fit == entries_.end() || fit->second.inflight_tag != tag) {
       return;  // Session released (or superseded) while on the wire.
@@ -190,7 +183,6 @@ sim::Time KvCacheManager::ensure_resident(std::uint64_t id, sim::Time t,
 }
 
 void KvCacheManager::prefetch(std::uint64_t id, sim::Time t) {
-  shard_.assert_held();
   auto it = entries_.find(id);
   if (it == entries_.end()) return;
   const Entry& e = it->second;
@@ -199,25 +191,21 @@ void KvCacheManager::prefetch(std::uint64_t id, sim::Time t) {
 }
 
 void KvCacheManager::set_pinned(std::uint64_t id, bool pinned) {
-  shard_.assert_held();
   auto it = entries_.find(id);
   if (it != entries_.end()) it->second.pinned = pinned;
 }
 
 void KvCacheManager::touch(std::uint64_t id, sim::Time t) {
-  shard_.assert_held();
   auto it = entries_.find(id);
   if (it != entries_.end()) it->second.last_used = t;
 }
 
 void KvCacheManager::set_next_use_hint(std::uint64_t id, sim::Time gap) {
-  shard_.assert_held();
   auto it = entries_.find(id);
   if (it != entries_.end()) it->second.next_use_gap = gap;
 }
 
 void KvCacheManager::release(std::uint64_t id) {
-  shard_.assert_held();
   auto it = entries_.find(id);
   if (it == entries_.end()) return;
   // In-flight page-ins keep their HBM reservation until release; both the
@@ -231,13 +219,11 @@ void KvCacheManager::release(std::uint64_t id) {
 }
 
 bool KvCacheManager::resident(std::uint64_t id) const {
-  shard_.assert_held();
   auto it = entries_.find(id);
   return it != entries_.end() && it->second.in_hbm;
 }
 
 std::uint64_t KvCacheManager::session_bytes(std::uint64_t id) const {
-  shard_.assert_held();
   auto it = entries_.find(id);
   return it == entries_.end() ? 0 : it->second.bytes;
 }

@@ -20,7 +20,6 @@
 #include <map>
 #include <vector>
 
-#include "core/annotations.hpp"
 #include "cxl/link.hpp"
 #include "obs/metrics.hpp"
 #include "serve/serve.hpp"
@@ -86,14 +85,8 @@ class KvCacheManager {
 
   bool resident(std::uint64_t id) const;
   std::uint64_t session_bytes(std::uint64_t id) const;
-  std::uint64_t hbm_used() const {
-    shard_.assert_held();
-    return hbm_used_;
-  }
-  const Stats& stats() const {
-    shard_.assert_held();
-    return stats_;
-  }
+  std::uint64_t hbm_used() const { return hbm_used_; }
+  const Stats& stats() const { return stats_; }
 
  private:
   struct Entry {
@@ -108,19 +101,17 @@ class KvCacheManager {
   };
 
   /// Evict one victim at `t`; returns when the HBM bytes are reusable.
-  sim::Time evict(std::uint64_t id, Entry& e, sim::Time t)
-      TECO_REQUIRES(shard_);
-  void charge_hbm(std::uint64_t bytes) TECO_REQUIRES(shard_);
+  sim::Time evict(std::uint64_t id, Entry& e, sim::Time t);
+  void charge_hbm(std::uint64_t bytes);
 
   const ServeConfig& cfg_;
   sim::EventQueue& q_;
   cxl::Link& link_;
-  core::ShardCapability shard_;
 
-  std::map<std::uint64_t, Entry> entries_ TECO_SHARD_AFFINE(shard_);
-  std::uint64_t hbm_used_ TECO_SHARD_AFFINE(shard_) = 0;
-  std::uint64_t next_tag_ TECO_SHARD_AFFINE(shard_) = 0;
-  Stats stats_ TECO_SHARD_AFFINE(shard_);
+  std::map<std::uint64_t, Entry> entries_;
+  std::uint64_t hbm_used_ = 0;
+  std::uint64_t next_tag_ = 0;
+  Stats stats_;
 
   // serve.kv.* instruments, resolved once at construction.
   obs::Counter& c_pagein_bytes_;

@@ -229,7 +229,6 @@ void ServeScheduler::finalize() {
 }
 
 ServeReport ServeScheduler::run() {
-  shard_.assert_held();
   pending_ = arrivals_.next();
   for (;;) {
     drain_arrivals();

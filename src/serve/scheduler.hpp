@@ -32,7 +32,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/annotations.hpp"
 #include "cxl/link.hpp"
 #include "obs/causal.hpp"
 #include "obs/metrics.hpp"
@@ -69,10 +68,7 @@ class ServeScheduler {
   sim::EventQueue& queue() { return q_; }
   cxl::Link& link() { return link_; }
   const KvCacheManager& kv() const { return kv_; }
-  const ServeReport& report() const {
-    shard_.assert_held();
-    return report_;
-  }
+  const ServeReport& report() const { return report_; }
 
   /// Wire the causal DAG (must outlive the scheduler; nullptr = off): the
   /// graph becomes the queue's provenance sink, KV landings are tagged,
@@ -80,7 +76,6 @@ class ServeScheduler {
   /// chain. Each prefill also records the request's TTFT terminal so
   /// request latency can be attributed end-to-end.
   void set_causal(obs::causal::CausalGraph* g) {
-    shard_.assert_held();
     causal_ = g;
     q_.set_causal_sink(g);
   }
@@ -95,10 +90,7 @@ class ServeScheduler {
     sim::Time first_token = 0.0;
     std::uint32_t terminal = sim::kNoCausalNode;
   };
-  const std::vector<TtftRecord>& ttft_records() const {
-    shard_.assert_held();
-    return ttft_records_;
-  }
+  const std::vector<TtftRecord>& ttft_records() const { return ttft_records_; }
 
  private:
   struct Session {
@@ -109,37 +101,32 @@ class ServeScheduler {
     std::uint32_t generated = 0;
   };
 
-  void drain_arrivals() TECO_REQUIRES(shard_);
-  void prefill_iteration() TECO_REQUIRES(shard_);
-  void decode_iteration() TECO_REQUIRES(shard_);
-  void complete(std::uint64_t id, sim::Time t) TECO_REQUIRES(shard_);
-  void finalize() TECO_REQUIRES(shard_);
+  void drain_arrivals();
+  void prefill_iteration();
+  void decode_iteration();
+  void complete(std::uint64_t id, sim::Time t);
+  void finalize();
   /// Append a [from, to] node to the iteration chain (no-op unwired).
-  void causal_note(obs::causal::Category cat, sim::Time from, sim::Time to)
-      TECO_REQUIRES(shard_);
+  void causal_note(obs::causal::Category cat, sim::Time from, sim::Time to);
 
   ServeConfig cfg_;
   std::uint64_t kvpt_;  ///< kv_bytes_per_token(cfg_.model).
   obs::MetricsRegistry local_reg_;
   obs::MetricsRegistry* reg_;
-  core::ShardCapability shard_;
 
   sim::EventQueue q_;
-  /// The serve engine owns its queue outright: every arrival, decode step,
-  /// and KV migration event runs on this shard.
-  TECO_QUEUE_CONTEXT(q_);
   cxl::Link link_;
   KvCacheManager kv_;
   ArrivalProcess arrivals_;
 
-  std::map<std::uint64_t, Session> sessions_ TECO_SHARD_AFFINE(shard_);
-  std::deque<std::uint64_t> waiting_ TECO_SHARD_AFFINE(shard_);
-  std::deque<std::uint64_t> running_ TECO_SHARD_AFFINE(shard_);
-  std::optional<Request> pending_ TECO_SHARD_AFFINE(shard_);
-  ServeReport report_ TECO_SHARD_AFFINE(shard_);
-  obs::causal::CausalGraph* causal_ TECO_SHARD_AFFINE(shard_) = nullptr;
-  std::uint32_t causal_last_ TECO_SHARD_AFFINE(shard_) = sim::kNoCausalNode;
-  std::vector<TtftRecord> ttft_records_ TECO_SHARD_AFFINE(shard_);
+  std::map<std::uint64_t, Session> sessions_;
+  std::deque<std::uint64_t> waiting_;
+  std::deque<std::uint64_t> running_;
+  std::optional<Request> pending_;
+  ServeReport report_;
+  obs::causal::CausalGraph* causal_ = nullptr;
+  std::uint32_t causal_last_ = sim::kNoCausalNode;
+  std::vector<TtftRecord> ttft_records_;
 
   obs::Hist& ttft_hist_;
   obs::Hist& tpot_hist_;

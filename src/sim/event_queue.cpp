@@ -5,7 +5,6 @@
 namespace teco::sim {
 
 void EventQueue::schedule_at(Time when, Callback cb) {
-  shard_.assert_held();
   if (when < now_) {
     ++clamped_;
     when = now_;
@@ -22,7 +21,6 @@ void EventQueue::schedule_at(Time when, Callback cb) {
 }
 
 bool EventQueue::step() {
-  shard_.assert_held();
   if (heap_.empty()) return false;
   // priority_queue::top() is const; move out via const_cast, which is safe
   // because the entry is popped before the callback can touch the heap.
@@ -41,14 +39,12 @@ bool EventQueue::step() {
 }
 
 std::size_t EventQueue::run(std::size_t limit) {
-  shard_.assert_held();
   std::size_t n = 0;
   while (n < limit && step()) ++n;
   return n;
 }
 
 std::size_t EventQueue::run_until(Time until) {
-  shard_.assert_held();
   std::size_t n = 0;
   while (!heap_.empty() && heap_.top().when <= until) {
     step();

@@ -22,7 +22,6 @@
 #include <queue>
 #include <vector>
 
-#include "core/annotations.hpp"
 #include "sim/time.hpp"
 
 namespace teco::sim {
@@ -53,21 +52,12 @@ class EventQueue {
   using Callback = std::function<void()>;
 
   /// Current simulated time. Starts at 0 and only moves forward.
-  Time now() const {
-    shard_.assert_held();
-    return now_;
-  }
+  Time now() const { return now_; }
 
   /// Number of events not yet executed.
-  std::size_t pending() const {
-    shard_.assert_held();
-    return heap_.size();
-  }
+  std::size_t pending() const { return heap_.size(); }
 
-  bool empty() const {
-    shard_.assert_held();
-    return heap_.empty();
-  }
+  bool empty() const { return heap_.empty(); }
 
   /// Schedule `cb` at absolute time `when`. Scheduling in the past (before
   /// `now()`) is a logic error and is clamped to `now()` after recording it
@@ -76,7 +66,6 @@ class EventQueue {
 
   /// Schedule `cb` at `now() + delay`.
   void schedule_after(Time delay, Callback cb) {
-    shard_.assert_held();
     schedule_at(now_ + delay, std::move(cb));
   }
 
@@ -92,45 +81,24 @@ class EventQueue {
   /// even if nothing was pending. Returns the number executed.
   std::size_t run_until(Time until);
 
-  std::uint64_t executed() const {
-    shard_.assert_held();
-    return executed_;
-  }
-  std::uint64_t clamped_past_schedules() const {
-    shard_.assert_held();
-    return clamped_;
-  }
+  std::uint64_t executed() const { return executed_; }
+  std::uint64_t clamped_past_schedules() const { return clamped_; }
 
 #ifndef TECO_OBS_DISABLED
   /// Attach / detach the provenance consumer. Null (the default) keeps
   /// schedule_at on its bare path: one pointer test per schedule.
-  void set_causal_sink(CausalSink* sink) {
-    shard_.assert_held();
-    causal_ = sink;
-  }
-  CausalSink* causal_sink() const {
-    shard_.assert_held();
-    return causal_;
-  }
+  void set_causal_sink(CausalSink* sink) { causal_ = sink; }
+  CausalSink* causal_sink() const { return causal_; }
 
   /// Node id of the event whose callback is currently executing
   /// (kNoCausalNode between events). Components use this to splice
   /// closed-form sub-chains onto the event-driven DAG.
-  std::uint32_t current_node() const {
-    shard_.assert_held();
-    return cur_node_;
-  }
+  std::uint32_t current_node() const { return cur_node_; }
 
   /// Active category tag, captured into every node scheduled while set.
   /// Prefer TagScope over calling this directly.
-  void set_current_tag(std::uint8_t tag) {
-    shard_.assert_held();
-    cur_tag_ = tag;
-  }
-  std::uint8_t current_tag() const {
-    shard_.assert_held();
-    return cur_tag_;
-  }
+  void set_current_tag(std::uint8_t tag) { cur_tag_ = tag; }
+  std::uint8_t current_tag() const { return cur_tag_; }
 #else
   // TECO_OBS=OFF: provenance compiles out. The inline no-ops keep call
   // sites ifdef-free; Entry carries no node field and schedule_at pays
@@ -157,21 +125,15 @@ class EventQueue {
     }
   };
 
-  // The queue IS the shard under the sharded engine: one EventQueue per
-  // shard, and scheduling onto another shard's queue must go through its
-  // event channel, never by calling schedule_at across the boundary. The
-  // (time,seq) FIFO contract above only holds shard-locally.
-  core::ShardCapability shard_;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_
-      TECO_SHARD_AFFINE(shard_);
-  Time now_ TECO_SHARD_AFFINE(shard_) = 0.0;
-  std::uint64_t next_seq_ TECO_SHARD_AFFINE(shard_) = 0;
-  std::uint64_t executed_ TECO_SHARD_AFFINE(shard_) = 0;
-  std::uint64_t clamped_ TECO_SHARD_AFFINE(shard_) = 0;
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  Time now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t clamped_ = 0;
 #ifndef TECO_OBS_DISABLED
-  CausalSink* causal_ TECO_SHARD_AFFINE(shard_) = nullptr;
-  std::uint32_t cur_node_ TECO_SHARD_AFFINE(shard_) = kNoCausalNode;
-  std::uint8_t cur_tag_ TECO_SHARD_AFFINE(shard_) = 0;
+  CausalSink* causal_ = nullptr;
+  std::uint32_t cur_node_ = kNoCausalNode;
+  std::uint8_t cur_tag_ = 0;
 #endif
 };
 

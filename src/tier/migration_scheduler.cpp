@@ -121,7 +121,6 @@ sim::Time MigrationScheduler::issue_fetch(sim::Time t, std::uint32_t tensor) {
   // causal sink records why it ran.
   sim::TagScope tag(*q_, obs::causal::tag(obs::causal::Category::kCxlDown));
   q_->schedule_at(end, [this, tensor, end] {
-    shard_.assert_held();
     auto& s = state_[tensor];
     if (!s.fetching || s.hbm_ready != end) return;
     s.fetching = false;
@@ -263,10 +262,7 @@ void MigrationScheduler::exec_slot(sim::EventQueue& q, std::size_t g,
         sim::TagScope tag(q,
                           obs::causal::tag(obs::causal::Category::kEvictStall));
         q.schedule_at(std::max(ready_all, st.hbm_ready),
-                      [this, &q, id = p.id] {
-                        shard_.assert_held();
-                        evict(q.now(), id);
-                      });
+                      [this, &q, id = p.id] { evict(q.now(), id); });
       } else {
         evict(ready_all, p.id);
       }
@@ -315,10 +311,7 @@ void MigrationScheduler::exec_slot(sim::EventQueue& q, std::size_t g,
     return;
   }
   sim::TagScope tag(q, obs::causal::tag(obs::causal::Category::kCompute));
-  q.schedule_at(end, [this, &q, g] {
-    shard_.assert_held();
-    exec_slot(q, g + 1, q.now());
-  });
+  q.schedule_at(end, [this, &q, g] { exec_slot(q, g + 1, q.now()); });
 }
 
 MigrationScheduler::Handles MigrationScheduler::resolve_handles(
@@ -336,7 +329,6 @@ MigrationScheduler::Handles MigrationScheduler::resolve_handles(
 
 ScheduleResult MigrationScheduler::run(sim::EventQueue& q, cxl::Channel& up,
                                        cxl::Channel& down) {
-  shard_.assert_held();
   q_ = &q;
   up_ = &up;
   down_ = &down;
@@ -378,10 +370,7 @@ ScheduleResult MigrationScheduler::run(sim::EventQueue& q, cxl::Channel& up,
   }
   {
     sim::TagScope tag(q, obs::causal::tag(obs::causal::Category::kCompute));
-    q.schedule_at(t0, [this, &q] {
-      shard_.assert_held();
-      exec_slot(q, 0, q.now());
-    });
+    q.schedule_at(t0, [this, &q] { exec_slot(q, 0, q.now()); });
   }
   q.run();
   if (causal_ != nullptr) q.set_causal_sink(nullptr);

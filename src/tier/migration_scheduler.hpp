@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "check/tier_checker.hpp"
-#include "core/annotations.hpp"
 #include "cxl/channel.hpp"
 #include "obs/causal.hpp"
 #include "obs/metrics.hpp"
@@ -97,34 +96,22 @@ class MigrationScheduler {
   /// onto the same up-link the evictions ride.
   using SlotHook =
       std::function<void(bool, std::uint32_t, sim::Time, sim::Time)>;
-  void set_slot_hook(SlotHook hook) {
-    shard_.assert_held();
-    hook_ = std::move(hook);
-  }
+  void set_slot_hook(SlotHook hook) { hook_ = std::move(hook); }
 
   /// Record tier.* counters into `reg` instead of the scheduler's private
   /// registry (nullptr reverts). Handles are resolved at run() start; the
   /// run's deltas land in ScheduleResult::metrics either way.
-  void set_metrics(obs::MetricsRegistry* reg) {
-    shard_.assert_held();
-    ext_reg_ = reg;
-  }
+  void set_metrics(obs::MetricsRegistry* reg) { ext_reg_ = reg; }
 
   /// Emit tier.{fetch,evict}/tier.stall spans into `buf` (nullptr = off).
-  void set_trace(obs::TraceBuffer* buf) {
-    shard_.assert_held();
-    trace_ = buf;
-  }
+  void set_trace(obs::TraceBuffer* buf) { trace_ = buf; }
 
   /// Record the run's causal chain into `g` (nullptr = off): the graph is
   /// attached to the queue as its provenance sink for the duration of
   /// run(), fetch/evict schedules are category-tagged, and every slot
   /// appends stall/compute nodes to an explicit chain ending at
   /// ScheduleResult::causal_tail.
-  void set_causal(obs::causal::CausalGraph* g) {
-    shard_.assert_held();
-    causal_ = g;
-  }
+  void set_causal(obs::causal::CausalGraph* g) { causal_ = g; }
 
   /// Run the step to completion on `q`, submitting CXL migrations to
   /// `up` (device -> CPU: evictions) and `down` (CPU -> device:
@@ -148,28 +135,24 @@ class MigrationScheduler {
   };
 
   std::size_t slot_of(sim::Time consume_t) const;
-  void occ_change(sim::Time t, Tier tier, std::int64_t delta)
-      TECO_REQUIRES(shard_);
+  void occ_change(sim::Time t, Tier tier, std::int64_t delta);
   /// Move `bytes` of `tensor`; returns delivery time.
   sim::Time transfer(sim::Time t, std::uint32_t tensor, Tier from, Tier to,
-                     bool prefetch) TECO_REQUIRES(shard_);
+                     bool prefetch);
   /// Start a fetch toward HBM and schedule its delivery flip; returns the
   /// delivery time.
-  sim::Time issue_fetch(sim::Time t, std::uint32_t tensor)
-      TECO_REQUIRES(shard_);
+  sim::Time issue_fetch(sim::Time t, std::uint32_t tensor);
   /// Fetch toward HBM if needed; returns the time the tensor is usable.
-  sim::Time require(sim::Time t, std::uint32_t tensor) TECO_REQUIRES(shard_);
-  void try_issue_prefetches(std::size_t horizon_slot, sim::Time t)
-      TECO_REQUIRES(shard_);
-  sim::Time evict(sim::Time t, std::uint32_t tensor) TECO_REQUIRES(shard_);
-  void exec_slot(sim::EventQueue& q, std::size_t g, sim::Time t)
-      TECO_REQUIRES(shard_);
+  sim::Time require(sim::Time t, std::uint32_t tensor);
+  void try_issue_prefetches(std::size_t horizon_slot, sim::Time t);
+  sim::Time evict(sim::Time t, std::uint32_t tensor);
+  void exec_slot(sim::EventQueue& q, std::size_t g, sim::Time t);
 
   const StepProfile& prof_;
   const TierPlan& plan_;
   const offload::Calibration& cal_;
   check::TierObserver* obs_;
-  SlotHook hook_ TECO_SHARD_AFFINE(shard_);
+  SlotHook hook_;
 
   /// Resolved tier.* handles, valid for the duration of one run().
   struct Handles {
@@ -182,38 +165,30 @@ class MigrationScheduler {
     obs::Counter* stall_us = nullptr;
   };
   Handles resolve_handles(obs::MetricsRegistry& reg);
-  void charge_stall(sim::Time from, sim::Time to) TECO_REQUIRES(shard_);
+  void charge_stall(sim::Time from, sim::Time to);
   /// Append a [from, to] node to the explicit chain (no-op when unwired
   /// or zero-width).
-  void causal_note(obs::causal::Category cat, sim::Time from, sim::Time to)
-      TECO_REQUIRES(shard_);
+  void causal_note(obs::causal::Category cat, sim::Time from, sim::Time to);
 
-  /// The scheduler drives the caller's queue for the whole step (run()
-  /// loops it to completion), so it is a queue context: every slot/flip
-  /// lambda it schedules runs on this shard and re-establishes the token
-  /// before touching guarded state.
-  core::ShardCapability shard_;
-  TECO_QUEUE_CONTEXT(q_);
-
-  obs::MetricsRegistry* ext_reg_ TECO_SHARD_AFFINE(shard_) = nullptr;
+  obs::MetricsRegistry* ext_reg_ = nullptr;
   obs::MetricsRegistry local_reg_;  ///< Used when no registry is attached.
-  obs::TraceBuffer* trace_ TECO_SHARD_AFFINE(shard_) = nullptr;
-  obs::causal::CausalGraph* causal_ TECO_SHARD_AFFINE(shard_) = nullptr;
-  std::uint32_t causal_tail_ TECO_SHARD_AFFINE(shard_) = sim::kNoCausalNode;
-  Handles m_ TECO_SHARD_AFFINE(shard_);
+  obs::TraceBuffer* trace_ = nullptr;
+  obs::causal::CausalGraph* causal_ = nullptr;
+  std::uint32_t causal_tail_ = sim::kNoCausalNode;
+  Handles m_;
 
-  sim::EventQueue* q_ TECO_SHARD_AFFINE(shard_) = nullptr;
-  cxl::Channel* up_ TECO_SHARD_AFFINE(shard_) = nullptr;
-  cxl::Channel* down_ TECO_SHARD_AFFINE(shard_) = nullptr;
-  ScheduleResult res_ TECO_SHARD_AFFINE(shard_);
-  std::vector<TState> state_ TECO_SHARD_AFFINE(shard_);
-  std::array<std::uint64_t, kTierCount> occ_bytes_ TECO_SHARD_AFFINE(shard_){};
+  sim::EventQueue* q_ = nullptr;
+  cxl::Channel* up_ = nullptr;
+  cxl::Channel* down_ = nullptr;
+  ScheduleResult res_;
+  std::vector<TState> state_;
+  std::array<std::uint64_t, kTierCount> occ_bytes_{};
   std::size_t n_slots_ = 0;
   /// Per slot: (tensor, consume_idx) retiring at slot start.
   std::vector<std::vector<std::pair<std::uint32_t, std::size_t>>> consumers_;
   /// Per forward slot: activations materializing at slot end.
   std::vector<std::vector<std::uint32_t>> produces_;
-  std::vector<PendingPrefetch> pending_ TECO_SHARD_AFFINE(shard_);
+  std::vector<PendingPrefetch> pending_;
 };
 
 }  // namespace teco::tier

@@ -4,7 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "check/protocol_checker.hpp"
+#include "sim/rng.hpp"
 
 namespace teco {
 namespace {
@@ -201,6 +209,126 @@ TEST(ConfigParser, MissingFileIsReported) {
   const auto parsed = core::load_config_file("/nonexistent/teco.cfg");
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.errors[0].find("cannot open"), std::string::npos);
+}
+
+// Every SessionConfig field the file format carries, plus two it does not
+// (which must stay at their defaults through a round trip).
+auto file_fields(const core::SessionConfig& c) {
+  return std::tuple(c.protocol, c.dba_enabled, c.act_aft_steps, c.dirty_bytes,
+                    c.giant_cache_capacity, c.enable_trace, c.check,
+                    c.check_hb, c.ft_mode, c.ft_checkpoint_interval, c.ft_seed,
+                    c.obs_jsonl_path, c.obs_trace_path, c.obs_step_log,
+                    c.obs_causal, c.obs_causal_max_nodes,
+                    c.obs_trace_max_spans, c.mc_bit_error_rate,
+                    c.addr_space_bytes);
+}
+
+TEST(ConfigParser, SeededRoundTripsAndMangledExamples) {
+  sim::Rng rng(23);
+  const auto pick = [&rng](std::uint64_t n) { return rng.next_below(n); };
+  const auto any_u64 = [&] {
+    return rng.next_bool(0.5) ? pick(1000) : rng.next_u64();
+  };
+  const auto path = [&] {
+    // No '#' (comment) and no blank at either end (the parser trims).
+    static constexpr char kChars[] = "abcXYZ019_-./= ";
+    if (pick(4) == 0) return std::string{};  // Absent key.
+    std::string p(2 + pick(24), 'a');
+    for (char& c : p) c = kChars[pick(sizeof(kChars) - 1)];
+    p.front() = '/';
+    p.back() = 'x';
+    return p;
+  };
+
+  // parse(print(cfg)) == cfg over the values the printer can emit.
+  for (int i = 0; i < 500; ++i) {
+    core::SessionConfig cfg;
+    cfg.protocol = pick(2) == 0 ? coherence::Protocol::kUpdate
+                                : coherence::Protocol::kInvalidation;
+    cfg.dba_enabled = pick(2) == 0;
+    cfg.act_aft_steps = any_u64();
+    cfg.dirty_bytes = static_cast<std::uint8_t>(pick(5));
+    // giant_cache_mib prints capacity >> 20: whole MiB, below 2^64 bytes.
+    cfg.giant_cache_capacity =
+        (1 + (pick(2) == 0 ? pick(1 << 16) : pick((1ull << 44) - 1))) << 20;
+    cfg.enable_trace = pick(2) == 0;
+    const std::uint64_t level = pick(4);  // off / count / strict / hb
+    cfg.check = level == 0   ? check::CheckLevel::kOff
+                : level == 1 ? check::CheckLevel::kCount
+                             : check::CheckLevel::kStrict;
+    cfg.check_hb = level == 3;
+    cfg.ft_mode = static_cast<core::FtMode>(pick(3));
+    cfg.ft_checkpoint_interval = std::max<std::uint64_t>(1, any_u64());
+    cfg.ft_seed = any_u64();
+    cfg.obs_jsonl_path = path();
+    cfg.obs_trace_path = path();
+    cfg.obs_step_log = pick(2) == 0;
+    cfg.obs_causal = pick(2) == 0;
+    cfg.obs_causal_max_nodes = std::max<std::uint64_t>(1, any_u64());
+    cfg.obs_trace_max_spans = any_u64();
+
+    const std::string text = core::to_config_text(cfg);
+    const auto parsed = core::parse_config(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.errors.front() << "\n" << text;
+    ASSERT_TRUE(parsed.unknown_keys.empty()) << text;
+    ASSERT_TRUE(file_fields(parsed.session) == file_fields(cfg)) << text;
+  }
+
+  // Byte flips, truncations and line shuffles of the shipped example yield
+  // errors or a config, never an exception. Errors name a real line, and
+  // whatever is accepted is a fixed point of print-then-parse.
+  std::ifstream in(TECO_EXAMPLE_CFG);
+  ASSERT_TRUE(in.good());
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string example = buf.str();
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 600; ++i) {
+    std::string text = example;
+    const std::uint64_t kind = pick(4);  // flips, cut, shuffle, all three
+    if (kind == 0 || kind == 3) {
+      for (std::uint64_t f = 1 + pick(8); f > 0; --f) {
+        text[pick(text.size())] ^= static_cast<char>(1 + pick(255));
+      }
+    }
+    if (kind == 1 || kind == 3) text.resize(pick(text.size() + 1));
+    if (kind == 2 || kind == 3) {
+      std::vector<std::string> lines;
+      std::istringstream ls(text);
+      for (std::string l; std::getline(ls, l);) lines.push_back(l);
+      for (std::size_t j = lines.size(); j > 1; --j) {
+        std::swap(lines[j - 1], lines[pick(j)]);
+      }
+      text.clear();
+      for (const std::string& l : lines) text += l + "\n";
+    }
+
+    core::ParsedConfig parsed;
+    ASSERT_NO_THROW(parsed = core::parse_config(text)) << text;
+    const auto n_lines =
+        static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) +
+        1;
+    for (const std::string& e : parsed.errors) {
+      ASSERT_EQ(e.rfind("line ", 0), 0u) << e;
+      const std::size_t at = std::stoul(e.substr(5));
+      EXPECT_GE(at, 1u) << e;
+      EXPECT_LE(at, n_lines) << e;
+    }
+    if (!parsed.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const std::string again_text = core::to_config_text(parsed.session);
+    const auto again = core::parse_config(again_text);
+    ASSERT_TRUE(again.ok()) << again_text;
+    ASSERT_TRUE(file_fields(again.session) == file_fields(parsed.session))
+        << text;
+  }
+  // Both outcomes occur, so neither branch above is vacuous.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

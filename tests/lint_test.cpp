@@ -16,7 +16,6 @@
 
 #include "check/protocol_checker.hpp"
 #include "coherence/home_agent.hpp"
-#include "core/annotations.hpp"
 #include "cxl/link.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/cache.hpp"
@@ -56,8 +55,7 @@ TEST(TecoLint, ListRulesShowsTheWholeCatalogue) {
   const LintRun r = run_lint("--list-rules");
   EXPECT_EQ(r.exit_code, 0);
   for (const char* rule :
-       {"unordered-iter", "wallclock", "ptr-order", "fp-reduce",
-        "queue-capture", "shard-coverage", "cross-shard"}) {
+       {"unordered-iter", "wallclock", "ptr-order", "fp-reduce"}) {
     EXPECT_NE(r.output.find(rule), std::string::npos) << rule;
   }
   EXPECT_NE(r.output.find("allow("), std::string::npos);
@@ -118,76 +116,6 @@ TEST(TecoLint, PlantedFpReduceIsCaughtInBothForms) {
   EXPECT_NE(r.output.find("tagged reduce loop"), std::string::npos);
 }
 
-TEST(TecoLint, PlantedQueueCaptureIsCaughtAtAllFourPlantedLines) {
-  const LintRun r = run_lint(fixture("planted_queue_capture.cpp"));
-  EXPECT_EQ(r.exit_code, 1);
-  // Unannotated this-capture, annotated-but-unestablished this-capture,
-  // reference capture of a parameter, and a default capture.
-  EXPECT_NE(r.output.find("planted_queue_capture.cpp:23: [queue-capture]"),
-            std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("planted_queue_capture.cpp:35: [queue-capture]"),
-            std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("planted_queue_capture.cpp:56: [queue-capture]"),
-            std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("planted_queue_capture.cpp:64: [queue-capture]"),
-            std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("'this' of unannotated 'BareCounter'"),
-            std::string::npos);
-  EXPECT_NE(
-      r.output.find("'LazyHolder' without establishing the shard token"),
-      std::string::npos);
-  EXPECT_NE(r.output.find("'&led' of unannotated 'Ledger'"),
-            std::string::npos);
-  EXPECT_NE(r.output.find("default capture"), std::string::npos);
-}
-
-TEST(TecoLint, PlantedShardCoverageIsCaughtAtBothPlantedLines) {
-  const LintRun r = run_lint(fixture("planted_shard_coverage.cpp"));
-  EXPECT_EQ(r.exit_code, 1);
-  // A mutation queue-capture cannot see (no trailing-underscore fields,
-  // non-const method call), and an unannotated CausalSink implementor.
-  EXPECT_NE(r.output.find("planted_shard_coverage.cpp:17: [shard-coverage]"),
-            std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("planted_shard_coverage.cpp:33: [shard-coverage]"),
-            std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("'bump()' of 'Tally'"), std::string::npos);
-  EXPECT_NE(r.output.find("'DropSink' implements sim::CausalSink"),
-            std::string::npos);
-  // But no queue-capture noise: Tally has nothing the capture rule tracks.
-  EXPECT_EQ(r.output.find("[queue-capture]"), std::string::npos) << r.output;
-}
-
-TEST(TecoLint, PlantedCrossShardIsCaughtAtTheClassDecl) {
-  const LintRun r = run_lint(fixture("planted_cross_shard.cpp"));
-  EXPECT_EQ(r.exit_code, 1);
-  EXPECT_NE(r.output.find("planted_cross_shard.cpp:19: [cross-shard]"),
-            std::string::npos)
-      << r.output;
-  // The finding enumerates both offending contexts, sorted.
-  EXPECT_NE(r.output.find("'SharedAccumulator' is reachable from queue "
-                          "contexts {ConsumerContext, ProducerContext}"),
-            std::string::npos)
-      << r.output;
-  // MiniQueue is reached by both contexts too but is not shard-affine.
-  EXPECT_EQ(r.output.find("MiniQueue"), std::string::npos) << r.output;
-}
-
-TEST(TecoLint, CleanShardedNearMissesStayClean) {
-  // Asserted this-capture, by-value capture, and a boundary-mediated
-  // crossing: all legal, all one keystroke from a violation.
-  const LintRun r = run_lint(fixture("clean_sharded.cpp"));
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("total                     0           0"),
-            std::string::npos)
-      << r.output;
-}
-
 TEST(TecoLint, SuppressionIsCountedButDoesNotFail) {
   const LintRun r = run_lint(fixture("suppressed.cpp"));
   EXPECT_EQ(r.exit_code, 0) << r.output;
@@ -216,65 +144,7 @@ TEST(TecoLint, UnknownAllowRuleIsRejected) {
   // The error teaches the fix: it lists every valid rule name.
   EXPECT_NE(r.output.find("valid:"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("unordered-iter"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("cross-shard"), std::string::npos) << r.output;
-}
-
-// --- Ownership map golden --------------------------------------------------
-// --ownership-map=PREFIX over the clean sharded fixture must reproduce the
-// committed DOT + JSON byte for byte (node/edge iteration is over sorted
-// containers and the JSON keys file basenames, so the goldens are
-// machine-independent).
-
-std::string slurp(const std::string& path) {
-  FILE* f = fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f == nullptr) return {};
-  std::string s;
-  std::array<char, 4096> buf{};
-  std::size_t n = 0;
-  while ((n = fread(buf.data(), 1, buf.size(), f)) > 0) s.append(buf.data(), n);
-  fclose(f);
-  return s;
-}
-
-TEST(TecoLint, OwnershipMapMatchesCommittedGoldens) {
-  const std::string prefix = testing::TempDir() + "/teco_ownership_map";
-  const LintRun r = run_lint("--ownership-map=" + prefix + " " +
-                             fixture("clean_sharded.cpp"));
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("ownership map written"), std::string::npos)
-      << r.output;
-  const std::string got_dot = slurp(prefix + ".dot");
-  const std::string got_json = slurp(prefix + ".json");
-  EXPECT_EQ(got_dot, slurp(fixture("ownership_map.dot")));
-  EXPECT_EQ(got_json, slurp(fixture("ownership_map.json")));
-  // Spot-check the semantics the golden encodes: the boundary class is
-  // reached by both contexts, and nothing behind it is.
-  EXPECT_NE(got_json.find("\"name\": \"EventChannel\""), std::string::npos);
-  EXPECT_NE(got_json.find("\"contexts\": [\"LeftContext\", \"RightContext\"]"),
-            std::string::npos);
-  EXPECT_NE(
-      got_json.find("{\"name\": \"SharedTotal\", \"file\": "
-                    "\"clean_sharded.cpp\", \"affine\": true, "
-                    "\"queue_context\": false, \"boundary\": false, "
-                    "\"contexts\": []}"),
-      std::string::npos)
-      << got_json;
-}
-
-TEST(TecoLint, RulesFilterRunsOnlyTheNamedRules) {
-  // planted_queue_capture trips queue-capture AND shard-coverage; the
-  // filter must be able to slice either one out.
-  const LintRun cap = run_lint("--rules=queue-capture " +
-                               fixture("planted_queue_capture.cpp"));
-  EXPECT_EQ(cap.exit_code, 1);
-  EXPECT_NE(cap.output.find("[queue-capture]"), std::string::npos);
-  EXPECT_EQ(cap.output.find("[shard-coverage]"), std::string::npos)
-      << cap.output;
-  const LintRun bad = run_lint("--rules=queue-cpature " +
-                               fixture("planted_queue_capture.cpp"));
-  EXPECT_EQ(bad.exit_code, 2) << bad.output;
-  EXPECT_NE(bad.output.find("valid:"), std::string::npos) << bad.output;
+  EXPECT_NE(r.output.find("fp-reduce"), std::string::npos) << r.output;
 }
 
 // The headline gate: the committed tree carries zero unsuppressed findings.
@@ -390,29 +260,6 @@ TEST(DeterminismFix, QuiescentSweepReportsViolationsInAddressOrder) {
   std::vector<std::string> sorted = a;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(a, sorted);
-}
-
-// --- Annotations: positive compile + runtime no-op ------------------------
-// The negative (must-NOT-compile) direction lives in
-// tests/lint_fixtures/annotations_negative.cpp, run as a WILL_FAIL ctest
-// entry under Clang (tests/CMakeLists.txt); GCC builds compile the macros
-// to nothing, which this test locks in as harmless.
-
-TEST(Annotations, ShardCapabilityIsAZeroCostNoOpAtRuntime) {
-  core::ShardCapability shard;
-  shard.assert_held();
-  shard.enter();
-  shard.exit();
-  struct Guarded {
-    core::ShardCapability shard;
-    int counter TECO_SHARD_AFFINE(shard) = 0;
-    int bump() {
-      shard.assert_held();
-      return ++counter;
-    }
-  } g;
-  EXPECT_EQ(g.bump(), 1);
-  EXPECT_EQ(g.bump(), 2);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // teco::obs — registry, spans, snapshots, exports, bench reports.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "core/gantt.hpp"
 #include "core/report.hpp"
@@ -264,6 +267,16 @@ TEST(BenchReport, JsonSchemaAndOverride) {
   EXPECT_NE(json.find("\"speedup_x\": 1.5"), std::string::npos);
   EXPECT_NE(json.find("\"cxl.up.flits\": 12"), std::string::npos);
   EXPECT_NE(json.find("\"wall_clock_s\":"), std::string::npos);
+}
+
+TEST(BenchReport, WallClockSpansWorkBeforeConstruction) {
+  // Benches build their report after the sweep; the sweep must still count.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const obs::BenchReport r("unit_test");
+  const std::string json = r.json();
+  const std::size_t at = json.find("\"wall_clock_s\": ");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_GE(std::stod(json.substr(at + 16)), 0.02);
 }
 
 TEST(Json, EscapeAndNumbers) {

@@ -1,34 +1,25 @@
-// teco-lint: determinism & shard-safety static analysis for the TECO tree.
+// teco-lint: determinism static analysis for the TECO tree.
 //
-// The sharded-engine refactor (ROADMAP) requires that a sharded run replay
-// bit-identically against the single-queue engine — the sim::EventQueue
-// (time,seq) FIFO contract. That promise dies quietly whenever event order,
-// trace output, or checker state is derived from something nondeterministic:
-// unordered-container iteration order, wall-clock time, unseeded randomness,
-// pointer values used as keys, or order-sensitive floating-point reduction.
-// It dies just as quietly when a queue lambda smuggles a reference to
-// mutable state onto a shard that does not own it. TSan and teco::mc catch
-// the *consequences* at runtime; this tool rejects the *sources* at lint
-// time.
+// Every committed bench baseline, the paper_validation_test numbers and the
+// mc state-space goldens rest on one promise: a seeded run replays
+// bit-identically (the sim::EventQueue (time,seq) FIFO contract). That
+// promise dies quietly whenever event order, trace output, or checker state
+// is derived from something nondeterministic: unordered-container iteration
+// order, wall-clock time, unseeded randomness, pointer values used as keys,
+// or order-sensitive floating-point reduction. teco::mc and the seeded
+// double-run tests catch the *consequences* at runtime; this tool rejects
+// the *sources* at lint time.
 //
 // Like examples/hb_lint.cpp, this is a deliberately token/decl-level
 // analyzer, not a libclang plugin: it tokenizes the sources (comments and
-// string literals stripped, #else/#elif preprocessor branches skipped so a
-// class defined twice under an #ifdef is seen once), tracks
-// container/float declarations per file plus its directly #include'd
-// project headers, and pattern-matches the hazards below. On top of that
-// it runs a two-pass whole-src analysis: pass A builds a persistent symbol
-// table of every class — fields (trailing-underscore members), methods,
-// shard annotations (TECO_CAPABILITY / core::ShardCapability member /
-// TECO_SHARD_AFFINE fields), TECO_QUEUE_CONTEXT markers, CausalSink bases
-// — merging out-of-line method definitions into their class; pass B runs
-// the rules with that table in view. That buys zero build-time
-// dependencies and keeps every rule ~a screen of code, at the cost of
-// being name-based: classes are keyed by unqualified name (two classes
-// with the same name in different namespaces merge — keep type names
-// unique), and aliasing through locals is invisible. The rules are tuned
-// so the committed tree is clean (see docs/STATIC_ANALYSIS.md for the
-// catalogue and the rationale behind every suppression).
+// string literals stripped, #else/#elif preprocessor branches skipped),
+// tracks container/float declarations per file plus its directly
+// #include'd project headers, and pattern-matches the hazards below. That
+// buys zero build-time dependencies and keeps every rule ~a screen of code,
+// at the cost of being name-based: aliasing through locals is invisible.
+// The rules are tuned so the committed tree is clean (see
+// docs/STATIC_ANALYSIS.md for the catalogue and the rationale behind every
+// suppression).
 //
 // Rules
 //   unordered-iter  range-for over an unordered_{map,set} whose body lets
@@ -45,25 +36,6 @@
 //   fp-reduce       float/double accumulation whose order is not pinned:
 //                   += on a floating accumulator inside unordered-container
 //                   iteration, or inside a loop tagged `// teco-lint: reduce`.
-//   queue-capture   a lambda passed to schedule_at/schedule_after captures
-//                   `this` or a reference to a class with mutable
-//                   (trailing-underscore) fields, and either the class has
-//                   no shard annotation or neither the lambda body nor the
-//                   enclosing method establishes the shard token
-//                   (assert_held / TECO_REQUIRES — constructors never
-//                   establish it). Default captures ([&]/[=]) are always
-//                   flagged: they hide what escapes onto the queue.
-//   shard-coverage  a class whose fields are mutated from inside a queue
-//                   lambda (or that implements sim::CausalSink, i.e. is
-//                   mutated from inside queue dispatch) carries no shard
-//                   annotation.
-//   cross-shard     a shard-affine class is reachable — over owning fields
-//                   and lambda-touch edges — from more than one
-//                   TECO_QUEUE_CONTEXT class without passing through an
-//                   event-channel boundary (cxl::EventChannel,
-//                   sim::EventQueue, core::ShardCapability, CausalSink).
-//                   `--ownership-map[=PREFIX]` emits the underlying graph
-//                   as DOT (+ JSON with =PREFIX).
 //
 // Suppressions: `// teco-lint: allow(rule[,rule...])` on the finding's line
 // or the line above. Suppressions are counted and reported; CI pins the
@@ -73,7 +45,6 @@
 // exceeded or usage/IO error.
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -113,22 +84,6 @@ constexpr RuleInfo kRules[] = {
      "floating-point accumulation whose summation order is not pinned",
      "fix the iteration order (sorted keys) or use a pairwise/Kahan "
      "reduction with a documented order contract"},
-    {"queue-capture",
-     "a lambda scheduled onto an event queue captures mutable state "
-     "without an established shard token",
-     "annotate the class (core::ShardCapability member, TECO_SHARD_AFFINE "
-     "fields) and assert_held() the token in the lambda or give the "
-     "enclosing method TECO_REQUIRES"},
-    {"shard-coverage",
-     "state mutated from inside a queue lambda (or queue dispatch) by a "
-     "class that carries no shard annotation",
-     "add a core::ShardCapability member and mark the mutated fields "
-     "TECO_SHARD_AFFINE(shard_)"},
-    {"cross-shard",
-     "shard-affine class reachable from more than one queue context "
-     "without an event-channel boundary",
-     "route cross-shard access through cxl::event_channel or split the "
-     "ownership so each context owns its own instance"},
 };
 
 bool known_rule(const std::string& id) {
@@ -161,16 +116,6 @@ struct Token {
   int line = 0;
 };
 
-// One method body (or out-of-line definition) span, for resolving what
-// encloses a lambda: which class `this` is, and the parameter list that
-// reference captures resolve against.
-struct Scope {
-  std::string cls;
-  std::string method;
-  std::size_t begin = 0, end = 0;                // body token span [begin,end)
-  std::size_t params_begin = 0, params_end = 0;  // param token span
-};
-
 struct SourceFile {
   std::string path;
   std::vector<Token> tokens;
@@ -183,7 +128,6 @@ struct SourceFile {
   std::set<std::string> ordered_vars;  // same name declared as ordered
   std::set<std::string> float_vars;
   std::set<std::string> unordered_types;  // aliases of unordered containers
-  std::vector<Scope> scopes;              // method bodies (pass A)
 };
 
 struct Finding {
@@ -332,9 +276,9 @@ void tokenize(const std::string& code, SourceFile& sf) {
     } else if (c == '#') {
       // Preprocessor line: capture #include "..." targets. An #else/#elif
       // opens a branch we must NOT tokenize — the first branch was already
-      // kept, and doubled declarations (a class head defined once per
-      // branch) would corrupt brace spans — so skip to the matching
-      // #endif, counting newlines to preserve line numbers.
+      // kept, and doubled code (an opening brace once per branch) would
+      // corrupt loop-body spans — so skip to the matching #endif,
+      // counting newlines to preserve line numbers.
       std::size_t end = code.find('\n', i);
       if (end == std::string::npos) end = n;
       const std::string dir = code.substr(i, end - i);
@@ -477,399 +421,6 @@ void collect_decls(SourceFile& sf) {
         sf.float_vars.insert(name);
       }
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Pass A: the whole-src symbol table.
-
-struct FieldInfo {
-  std::string name;
-  std::vector<std::string> type;  // declaration tokens left of the name
-  bool owning = true;             // false when the decl contains * or &
-  int line = 0;
-};
-
-struct MethodInfo {
-  std::string name;
-  bool seen = false;
-  bool is_const = false;
-  bool is_ctor = false;
-  bool has_requires = false;     // TECO_REQUIRES / TECO_ASSERT_CAPABILITY
-  bool has_assert_held = false;  // body calls assert_held
-};
-
-struct ClassInfo {
-  std::string name;
-  std::string path;  // file of the definition
-  int line = 0;
-  bool affine = false;         // carries a shard annotation
-  bool queue_context = false;  // TECO_QUEUE_CONTEXT marker
-  bool causal_sink = false;    // derives from CausalSink
-  std::vector<FieldInfo> fields;  // trailing-underscore members (no shard_)
-  std::set<std::string> field_names;
-  std::map<std::string, MethodInfo> methods;
-  // Names of types declared inside this class. A field of nested type must
-  // NOT resolve to an unrelated global class of the same name (e.g. a
-  // private `struct Session` vs core::Session).
-  std::set<std::string> nested;
-  bool has_mutable_fields() const { return !fields.empty(); }
-};
-
-using ClassTable = std::map<std::string, ClassInfo>;
-
-const std::set<std::string>& guard_macros() {
-  static const std::set<std::string> kSet = {"TECO_SHARD_AFFINE",
-                                            "TECO_GUARDED_BY",
-                                            "TECO_PT_GUARDED_BY"};
-  return kSet;
-}
-
-// Classes that terminate cross-shard reachability: handing state to one of
-// these IS the sanctioned way to cross shards (the event channel), or the
-// class is by construction owned-per-shard plumbing.
-const std::set<std::string>& boundary_classes() {
-  static const std::set<std::string> kSet = {"EventChannel", "EventQueue",
-                                             "ShardCapability", "CausalSink"};
-  return kSet;
-}
-
-// Given tokens[open] in {(,[,{}, return the index just past its closer.
-std::size_t skip_group(const std::vector<Token>& t, std::size_t open,
-                       std::size_t limit) {
-  const std::string& o = t[open].text;
-  const std::string c = o == "(" ? ")" : o == "{" ? "}" : "]";
-  int d = 0;
-  for (std::size_t j = open; j < limit; ++j) {
-    if (t[j].text == o) ++d;
-    else if (t[j].text == c && --d == 0) return j + 1;
-  }
-  return limit;
-}
-
-// From just past a parameter list's ")", walk the specifier tail to the
-// body "{" or declaration-ending ";". Returns that index, or `limit` when
-// the token stream is not a function declarator after all (e.g. a call
-// expression inside an expression). Fills is_const/has_requires.
-std::size_t find_body(const std::vector<Token>& t, std::size_t p,
-                      std::size_t limit, MethodInfo& m) {
-  while (p < limit) {
-    const std::string& tx = t[p].text;
-    if (tx == "{" || tx == ";") return p;
-    if (tx == "const") {
-      m.is_const = true;
-      ++p;
-    } else if (tx == "override" || tx == "final" || tx == "mutable") {
-      ++p;
-    } else if (tx == "noexcept") {
-      ++p;
-      if (p < limit && t[p].text == "(") p = skip_group(t, p, limit);
-    } else if (tx == "TECO_REQUIRES" || tx == "TECO_ASSERT_CAPABILITY" ||
-               tx == "TECO_ACQUIRE" || tx == "TECO_RELEASE") {
-      m.has_requires = true;
-      ++p;
-      if (p < limit && t[p].text == "(") p = skip_group(t, p, limit);
-    } else if (tx == "->") {  // trailing return type
-      ++p;
-      while (p < limit && t[p].text != "{" && t[p].text != ";") ++p;
-    } else if (tx == "=") {  // = default / = delete / = 0
-      while (p < limit && t[p].text != ";") ++p;
-      return p;
-    } else if (tx == ":") {  // ctor-init list: items `name(...)`/`name{...}`
-      ++p;
-      while (p < limit) {
-        while (p < limit && t[p].text != "(" && t[p].text != "{" &&
-               t[p].text != ";")
-          ++p;
-        if (p >= limit || t[p].text == ";") return limit;
-        p = skip_group(t, p, limit);
-        if (p < limit && t[p].text == ",") {
-          ++p;
-          continue;
-        }
-        break;
-      }
-    } else {
-      return limit;  // unexpected token: not a function definition
-    }
-  }
-  return limit;
-}
-
-void merge_method(ClassInfo& C, const MethodInfo& m) {
-  MethodInfo& dst = C.methods[m.name];
-  if (!dst.seen) {
-    dst = m;
-    dst.seen = true;
-    return;
-  }
-  // Overload sets collapse: const only if every overload is const
-  // (conservative for the mutation rule), token facts accumulate.
-  dst.is_const = dst.is_const && m.is_const;
-  dst.is_ctor = dst.is_ctor || m.is_ctor;
-  dst.has_requires = dst.has_requires || m.has_requires;
-  dst.has_assert_held = dst.has_assert_held || m.has_assert_held;
-}
-
-// Parse a class head at t[i] ("class"/"struct"). On success fills the name
-// and head facts and sets body_open to the "{" index.
-bool parse_class_head(const std::vector<Token>& t, std::size_t i,
-                      std::string& name, bool& is_capability,
-                      bool& causal_sink, std::size_t& body_open) {
-  if (i > 0 && t[i - 1].text == "enum") return false;
-  name.clear();
-  is_capability = false;
-  causal_sink = false;
-  std::size_t j = i + 1;
-  for (; j < t.size(); ++j) {
-    const std::string& tx = t[j].text;
-    if (tx == "{" || tx == ":" || tx == ";") break;
-    if (tx == "final") continue;
-    if (tx == "alignas" || tx.rfind("TECO_", 0) == 0) {
-      if (tx.rfind("TECO_CAPABILITY", 0) == 0) is_capability = true;
-      if (j + 1 < t.size() && t[j + 1].text == "(")
-        j = skip_group(t, j + 1, t.size()) - 1;
-      continue;
-    }
-    if (ident_char(tx[0]) &&
-        std::isdigit(static_cast<unsigned char>(tx[0])) == 0) {
-      name = tx;
-      continue;
-    }
-    return false;  // template parameter list, expression, etc.
-  }
-  if (j >= t.size() || name.empty() || t[j].text == ";") return false;
-  if (t[j].text == ":") {
-    for (; j < t.size() && t[j].text != "{"; ++j)
-      if (t[j].text.find("CausalSink") != std::string::npos)
-        causal_sink = true;
-  }
-  if (j >= t.size() || t[j].text != "{") return false;
-  body_open = j;
-  return true;
-}
-
-// Walk one class body: fields, methods (inline bodies become scopes),
-// TECO_QUEUE_CONTEXT markers, the shard capability member. Nested types
-// are skipped wholesale — their members belong to them, not to C.
-void parse_class_body(const std::vector<Token>& t, std::size_t open,
-                      std::size_t close, ClassInfo& C,
-                      std::vector<Scope>& scopes) {
-  std::size_t p = open + 1;
-  while (p < close) {
-    const std::string& tx = t[p].text;
-    if (tx == "public" || tx == "private" || tx == "protected") {
-      p += (p + 1 < close && t[p + 1].text == ":") ? 2 : 1;
-      continue;
-    }
-    if (tx == "using" || tx == "typedef" || tx == "friend" ||
-        tx == "static_assert") {
-      while (p < close && t[p].text != ";") {
-        if (t[p].text == "{" || t[p].text == "(")
-          p = skip_group(t, p, close);
-        else
-          ++p;
-      }
-      ++p;
-      continue;
-    }
-    if (tx == "TECO_QUEUE_CONTEXT") {
-      C.queue_context = true;
-      ++p;
-      if (p < close && t[p].text == "(") p = skip_group(t, p, close);
-      if (p < close && t[p].text == ";") ++p;
-      continue;
-    }
-    if (tx == "class" || tx == "struct" || tx == "enum" || tx == "union") {
-      std::size_t q = p + 1;
-      while (q < close && t[q].text != "{" && t[q].text != ";" &&
-             t[q].text != ":") {
-        const std::string& qt = t[q].text;
-        if (ident_char(qt[0]) &&
-            std::isdigit(static_cast<unsigned char>(qt[0])) == 0 &&
-            qt != "class" && qt != "final")
-          C.nested.insert(qt);
-        ++q;
-      }
-      while (q < close && t[q].text != "{" && t[q].text != ";") ++q;
-      if (q < close && t[q].text == "{") q = skip_group(t, q, close);
-      while (q < close && t[q].text != ";") ++q;
-      p = q + 1;
-      continue;
-    }
-    if (tx == "template") {
-      ++p;
-      if (p < close && t[p].text == "<") {
-        int d = 0;
-        for (; p < close; ++p) {
-          if (t[p].text == "<") ++d;
-          else if (t[p].text == ">") {
-            if (--d == 0) {
-              ++p;
-              break;
-            }
-          } else if (t[p].text == ">>") {
-            d -= 2;
-            if (d <= 0) {
-              ++p;
-              break;
-            }
-          }
-        }
-      }
-      continue;
-    }
-    if (tx == "~" || tx == "operator") {
-      // Destructor / operator overload: skip to the parameter list, then
-      // past the body or the declaration-ending ';'.
-      MethodInfo m;
-      m.name = tx == "~" ? "~" + C.name : "operator";
-      std::size_t q = p + 1;
-      while (q < close && t[q].text != "(") ++q;
-      if (q >= close) {
-        p = q;
-        continue;
-      }
-      std::size_t past = skip_group(t, q, close);
-      std::size_t after = find_body(t, past, close, m);
-      if (after < close && t[after].text == "{")
-        p = skip_group(t, after, close);
-      else
-        p = after < close ? after + 1 : past;
-      continue;
-    }
-    // Method: identifier directly followed by "(" (guard macros excluded).
-    if (ident_char(tx[0]) &&
-        std::isdigit(static_cast<unsigned char>(tx[0])) == 0 &&
-        p + 1 < close && t[p + 1].text == "(" &&
-        guard_macros().count(tx) == 0 && tx.rfind("TECO_", 0) != 0 &&
-        tx != "alignas" && tx != "decltype" && tx != "if" && tx != "for" &&
-        tx != "while" && tx != "switch" && tx != "return" && tx != "sizeof" &&
-        tx != "assert") {
-      MethodInfo m;
-      m.name = tx;
-      m.is_ctor = tx == C.name;
-      const std::size_t params_open = p + 1;
-      const std::size_t past = skip_group(t, params_open, close);
-      const std::size_t after = find_body(t, past, close, m);
-      if (after >= close) {
-        p = past;
-        continue;
-      }
-      if (t[after].text == "{") {
-        const std::size_t body_past = skip_group(t, after, close);
-        for (std::size_t b = after + 1; b + 1 < body_past; ++b)
-          if (t[b].text == "assert_held") m.has_assert_held = true;
-        scopes.push_back({C.name, m.name, after + 1, body_past - 1,
-                          params_open + 1, past - 1});
-        merge_method(C, m);
-        p = body_past;
-      } else {
-        merge_method(C, m);
-        p = after + 1;
-      }
-      continue;
-    }
-    // Field: trailing-underscore identifier in declaration position.
-    if (ident_char(tx[0]) &&
-        std::isdigit(static_cast<unsigned char>(tx[0])) == 0 &&
-        tx.size() > 1 && tx.back() == '_' && p + 1 < close) {
-      const std::string& nx = t[p + 1].text;
-      if (nx == ";" || nx == "=" || nx == "{" || nx == "[" ||
-          guard_macros().count(nx) != 0) {
-        std::vector<std::string> type;
-        for (std::size_t b = p; b-- > open + 1;) {
-          const std::string& bt = t[b].text;
-          if (bt == ";" || bt == "}" || bt == "{" || bt == ":") break;
-          type.push_back(bt);
-        }
-        std::reverse(type.begin(), type.end());
-        bool is_cap = false;
-        bool owning = true;
-        for (const std::string& ty : type) {
-          if (ty == "ShardCapability") is_cap = true;
-          if (ty == "*" || ty == "&") owning = false;
-        }
-        const bool guarded = guard_macros().count(nx) != 0;
-        if (is_cap) {
-          C.affine = true;  // owns the capability itself
-        } else {
-          if (guarded) C.affine = true;
-          C.fields.push_back({tx, std::move(type), owning, t[p].line});
-          C.field_names.insert(tx);
-        }
-        while (p < close && t[p].text != ";") {
-          if (t[p].text == "{" || t[p].text == "(")
-            p = skip_group(t, p, close);
-          else
-            ++p;
-        }
-        ++p;
-        continue;
-      }
-    }
-    ++p;
-  }
-}
-
-// Pass A1: register every top-level class/struct definition in the file.
-void collect_classes(SourceFile& sf, ClassTable& classes) {
-  const auto& t = sf.tokens;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].text != "class" && t[i].text != "struct") continue;
-    std::string name;
-    bool is_capability = false, causal_sink = false;
-    std::size_t body_open = 0;
-    if (!parse_class_head(t, i, name, is_capability, causal_sink, body_open))
-      continue;
-    const std::size_t body_past = skip_group(t, body_open, t.size());
-    ClassInfo& C = classes[name];
-    if (C.name.empty()) {
-      C.name = name;
-      C.path = sf.path;
-      C.line = t[i].line;
-    }
-    C.affine = C.affine || is_capability;
-    C.causal_sink = C.causal_sink || causal_sink;
-    parse_class_body(t, body_open, body_past - 1, C, sf.scopes);
-    i = body_past - 1;  // nested classes stay invisible
-  }
-}
-
-// Pass A2: merge out-of-line `Known::method(...)` definitions — the decl
-// in the header carries TECO_REQUIRES, the body in the .cpp carries the
-// assert_held fact; the class needs both.
-void collect_out_of_line(SourceFile& sf, ClassTable& classes) {
-  const auto& t = sf.tokens;
-  for (std::size_t i = 0; i + 3 < t.size(); ++i) {
-    if (t[i + 1].text != "::") continue;
-    auto ci = classes.find(t[i].text);
-    if (ci == classes.end()) continue;
-    std::size_t mi = i + 2;
-    bool dtor = false;
-    if (t[mi].text == "~") {
-      dtor = true;
-      ++mi;
-    }
-    if (mi + 1 >= t.size() || !ident_char(t[mi].text[0]) ||
-        std::isdigit(static_cast<unsigned char>(t[mi].text[0])) != 0 ||
-        t[mi + 1].text != "(")
-      continue;
-    MethodInfo m;
-    m.name = (dtor ? "~" : "") + t[mi].text;
-    m.is_ctor = !dtor && t[mi].text == ci->first;
-    const std::size_t params_open = mi + 1;
-    const std::size_t past = skip_group(t, params_open, t.size());
-    const std::size_t after = find_body(t, past, t.size(), m);
-    if (after >= t.size()) continue;  // a qualified call, not a definition
-    if (t[after].text == "{") {
-      const std::size_t body_past = skip_group(t, after, t.size());
-      for (std::size_t b = after + 1; b + 1 < body_past; ++b)
-        if (t[b].text == "assert_held") m.has_assert_held = true;
-      sf.scopes.push_back({ci->first, m.name, after + 1, body_past - 1,
-                           params_open + 1, past - 1});
-    }
-    merge_method(ci->second, m);
   }
 }
 
@@ -1056,484 +607,6 @@ void scan_ptr_order(const SourceFile& sf, const Visibility& vis,
 }
 
 // ---------------------------------------------------------------------------
-// Queue-lambda rules (queue-capture, shard-coverage) + touch-edge harvest.
-
-const std::set<std::string>& mutating_members() {
-  static const std::set<std::string> kSet = {
-      "push_back", "emplace_back", "pop_back", "push_front", "pop_front",
-      "insert",    "emplace",      "erase",    "clear",      "resize",
-      "assign",    "reset",        "swap",     "push",       "pop"};
-  return kSet;
-}
-
-bool is_mutation_op(const std::string& s) {
-  return s == "=" || s == "+=" || s == "-=" || s == "*=" || s == "/=" ||
-         s == "++" || s == "--";
-}
-
-// Smallest method-body span containing token index i, or nullptr.
-const Scope* enclosing_scope(const std::vector<Scope>& scopes,
-                             std::size_t i) {
-  const Scope* best = nullptr;
-  for (const Scope& s : scopes) {
-    if (s.begin <= i && i < s.end &&
-        (best == nullptr || s.end - s.begin < best->end - best->begin))
-      best = &s;
-  }
-  return best;
-}
-
-// Resolve a by-reference captured name against the enclosing scope's
-// parameter list: `... ClassName [const] & name ...` -> ClassName if it is
-// a known class. Returns nullptr when unresolvable (locals, unknown types).
-const ClassInfo* resolve_param_class(const std::vector<Token>& t,
-                                     const Scope& sc, const std::string& name,
-                                     const ClassTable& classes) {
-  for (std::size_t j = sc.params_begin; j < sc.params_end; ++j) {
-    if (t[j].text != name) continue;
-    for (std::size_t b = j; b-- > sc.params_begin;) {
-      const std::string& bt = t[b].text;
-      if (bt == ",") break;
-      auto it = classes.find(bt);
-      if (it != classes.end()) return &it->second;
-    }
-    break;
-  }
-  return nullptr;
-}
-
-// Does the lambda or its enclosing method establish the shard token?
-// Constructors never do: the capability idiom exempts them from guarded
-// access precisely because no token is held yet.
-bool token_established(bool body_asserts, const ClassInfo* E,
-                       const Scope* sc) {
-  if (body_asserts) return true;
-  if (E == nullptr || sc == nullptr) return false;
-  auto it = E->methods.find(sc->method);
-  if (it == E->methods.end() || it->second.is_ctor) return false;
-  return it->second.has_assert_held || it->second.has_requires;
-}
-
-// Scan one lambda body for mutations of class C's state reached via
-// `this`-capture (prefix.empty()) or via a by-reference captured object
-// named `prefix`. Returns the token index of the first mutation (or 0).
-std::size_t find_mutation(const std::vector<Token>& t, std::size_t begin,
-                          std::size_t end, const ClassInfo& C,
-                          const std::string& prefix, std::string& what) {
-  for (std::size_t j = begin; j < end; ++j) {
-    const std::string& b = t[j].text;
-    if (prefix.empty()) {
-      // Field mutated: f [op] | f[...] op | f.mutator( | ++f.
-      if (C.field_names.count(b) != 0) {
-        std::size_t k = j + 1;
-        while (k < end && t[k].text == "[") k = skip_group(t, k, end);
-        if (k < end && is_mutation_op(t[k].text)) {
-          what = b;
-          return j;
-        }
-        if (k + 1 < end && (t[k].text == "." || t[k].text == "->") &&
-            mutating_members().count(t[k + 1].text) != 0) {
-          what = b;
-          return j;
-        }
-        if (j > begin &&
-            (t[j - 1].text == "++" || t[j - 1].text == "--")) {
-          what = b;
-          return j;
-        }
-      }
-      // Bare (or this->) call to a non-const method.
-      if (j + 1 < end && t[j + 1].text == "(") {
-        auto it = C.methods.find(b);
-        if (it != C.methods.end() && !it->second.is_const &&
-            !it->second.is_ctor) {
-          const bool qualified_elsewhere =
-              j > begin && (t[j - 1].text == "." || t[j - 1].text == "->") &&
-              !(j >= begin + 2 && t[j - 2].text == "this");
-          if (!qualified_elsewhere) {
-            what = b + "()";
-            return j;
-          }
-        }
-      }
-    } else if (b == prefix && j + 2 < end &&
-               (t[j + 1].text == "." || t[j + 1].text == "->")) {
-      const std::string& mem = t[j + 2].text;
-      if (C.field_names.count(mem) != 0) {
-        std::size_t k = j + 3;
-        while (k < end && t[k].text == "[") k = skip_group(t, k, end);
-        if (k < end && is_mutation_op(t[k].text)) {
-          what = prefix + "." + mem;
-          return j;
-        }
-      }
-      if (mutating_members().count(mem) != 0) {
-        what = prefix + "." + mem + "()";
-        return j;
-      }
-      auto it = C.methods.find(mem);
-      if (it != C.methods.end() && !it->second.is_const &&
-          !it->second.is_ctor && j + 3 < end && t[j + 3].text == "(") {
-        what = prefix + "." + mem + "()";
-        return j;
-      }
-    }
-  }
-  return 0;
-}
-
-// Analyze one lambda literal passed to schedule_at/schedule_after.
-// `lb` indexes the "[" of the capture list.
-void analyze_queue_lambda(
-    const SourceFile& sf, std::size_t lb, const ClassTable& classes,
-    std::vector<Finding>& out,
-    std::set<std::pair<std::string, std::string>>& touches) {
-  const auto& t = sf.tokens;
-  const int line = t[lb].line;
-  const std::size_t cap_past = skip_group(t, lb, t.size());
-  if (cap_past >= t.size()) return;
-  const std::size_t cap_end = cap_past - 1;  // "]"
-
-  bool cap_this = false, cap_default = false;
-  std::vector<std::string> ref_caps;
-  std::size_t p = lb + 1;
-  while (p < cap_end) {
-    if (t[p].text == "this") {
-      cap_this = true;
-      ++p;
-    } else if (t[p].text == "&") {
-      if (p + 1 < cap_end && ident_char(t[p + 1].text[0]) &&
-          t[p + 1].text != "this") {
-        ref_caps.push_back(t[p + 1].text);
-        p += 2;
-      } else {
-        cap_default = true;
-        ++p;
-      }
-    } else if (t[p].text == "=") {
-      cap_default = true;
-      ++p;
-    } else {
-      ++p;  // by-value capture (name, *this, init-capture)
-    }
-    int d = 0;  // skip to the next top-level ','
-    while (p < cap_end) {
-      const std::string& x = t[p].text;
-      if (x == "(" || x == "[" || x == "{") ++d;
-      else if (x == ")" || x == "]" || x == "}") --d;
-      else if (x == "," && d == 0) {
-        ++p;
-        break;
-      }
-      ++p;
-    }
-  }
-
-  // Body span.
-  std::size_t q = cap_past;
-  if (q < t.size() && t[q].text == "(") q = skip_group(t, q, t.size());
-  while (q < t.size() && t[q].text != "{" && t[q].text != ";" &&
-         t[q].text != ")")
-    ++q;
-  if (q >= t.size() || t[q].text != "{") return;
-  const std::size_t body_begin = q + 1;
-  const std::size_t body_past = skip_group(t, q, t.size());
-  const std::size_t body_end = body_past - 1;
-  bool body_asserts = false;
-  for (std::size_t b = body_begin; b < body_end; ++b)
-    if (t[b].text == "assert_held") body_asserts = true;
-
-  const Scope* sc = enclosing_scope(sf.scopes, lb);
-  const ClassInfo* E = nullptr;
-  if (sc != nullptr) {
-    auto it = classes.find(sc->cls);
-    if (it != classes.end()) E = &it->second;
-  }
-
-  if (cap_default) {
-    out.push_back({sf.path, line, "queue-capture",
-                   "default capture (hides what escapes onto the queue)",
-                   false});
-  }
-
-  auto check_target = [&](const ClassInfo& C, const std::string& label,
-                          const std::string& prefix) {
-    if (E != nullptr) touches.insert({E->name, C.name});
-    if (C.has_mutable_fields()) {
-      if (!C.affine) {
-        out.push_back({sf.path, line, "queue-capture",
-                       label + " of unannotated '" + C.name +
-                           "' (mutable fields, no shard capability)",
-                       false});
-      } else if (!token_established(body_asserts, E, sc)) {
-        out.push_back({sf.path, line, "queue-capture",
-                       label + " of '" + C.name +
-                           "' without establishing the shard token "
-                           "(assert_held / TECO_REQUIRES)",
-                       false});
-      }
-    }
-    std::string what;
-    const std::size_t mut = find_mutation(t, body_begin, body_end, C, prefix,
-                                          what);
-    if (mut != 0 && !C.affine) {
-      out.push_back({sf.path, t[mut].line, "shard-coverage",
-                     "'" + what + "' of '" + C.name +
-                         "' mutated inside a queue lambda",
-                     false});
-    }
-  };
-
-  if (cap_this && E != nullptr) check_target(*E, "'this'", "");
-  for (const std::string& nm : ref_caps) {
-    if (sc == nullptr) continue;
-    const ClassInfo* B = resolve_param_class(t, *sc, nm, classes);
-    if (B == nullptr) continue;  // unresolvable: locals, unknown types
-    check_target(*B, "'&" + nm + "'", nm);
-  }
-}
-
-void scan_queue_lambdas(
-    const SourceFile& sf, const ClassTable& classes,
-    std::vector<Finding>& out,
-    std::set<std::pair<std::string, std::string>>& touches) {
-  const auto& t = sf.tokens;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].text != "schedule_at" && t[i].text != "schedule_after")
-      continue;
-    if (t[i + 1].text != "(") continue;
-    const std::size_t call_past = skip_group(t, i + 1, t.size());
-    for (std::size_t j = i + 2; j + 1 < call_past; ++j) {
-      if (t[j].text != "[") continue;
-      const std::string& prev = t[j - 1].text;
-      if (prev != "(" && prev != ",") continue;  // subscript, not a lambda
-      analyze_queue_lambda(sf, j, classes, out, touches);
-      j = skip_group(t, j, call_past) - 1;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Cross-shard ownership graph.
-
-struct OwnershipGraph {
-  // Adjacency over class names. `own` = by-value/unique_ptr/container
-  // fields (shard ownership follows these), `uses` = pointer/reference
-  // fields (non-owning, excluded from reachability), `touch` = state
-  // touched from inside a queue lambda.
-  std::map<std::string, std::set<std::string>> own, uses, touch;
-};
-
-OwnershipGraph build_graph(
-    const ClassTable& classes,
-    const std::set<std::pair<std::string, std::string>>& touches) {
-  OwnershipGraph g;
-  for (const auto& [name, C] : classes) {
-    for (const FieldInfo& f : C.fields) {
-      for (const std::string& ty : f.type) {
-        if (ty == name || C.nested.count(ty) != 0) continue;
-        if (classes.count(ty) == 0) continue;
-        (f.owning ? g.own : g.uses)[name].insert(ty);
-      }
-    }
-  }
-  for (const auto& [from, to] : touches) {
-    if (from.empty() || from == to) continue;
-    if (classes.count(from) == 0 || classes.count(to) == 0) continue;
-    g.touch[from].insert(to);
-  }
-  return g;
-}
-
-// For every queue context, the classes it reaches over own+touch edges.
-// Boundary classes are reached but never expanded: handing state to the
-// event channel is the sanctioned crossing.
-std::map<std::string, std::set<std::string>> reach_contexts(
-    const ClassTable& classes, const OwnershipGraph& g) {
-  std::map<std::string, std::set<std::string>> reached_by;
-  for (const auto& [root, C] : classes) {
-    if (!C.queue_context) continue;
-    std::set<std::string> vis{root};
-    std::vector<std::string> stack{root};
-    while (!stack.empty()) {
-      const std::string cur = stack.back();
-      stack.pop_back();
-      reached_by[cur].insert(root);
-      if (boundary_classes().count(cur) != 0 && cur != root) continue;
-      for (const auto* adj : {&g.own, &g.touch}) {
-        const auto it = adj->find(cur);
-        if (it == adj->end()) continue;
-        for (const std::string& nx : it->second)
-          if (vis.insert(nx).second) stack.push_back(nx);
-      }
-    }
-  }
-  return reached_by;
-}
-
-void scan_cross_shard(
-    const ClassTable& classes,
-    const std::map<std::string, std::set<std::string>>& reached_by,
-    std::vector<Finding>& out) {
-  for (const auto& [name, C] : classes) {
-    if (C.causal_sink && !C.affine) {
-      out.push_back({C.path, C.line, "shard-coverage",
-                     "'" + name +
-                         "' implements sim::CausalSink (mutated from queue "
-                         "dispatch) but carries no shard annotation",
-                     false});
-    }
-    if (!C.affine || C.queue_context || boundary_classes().count(name) != 0)
-      continue;
-    const auto it = reached_by.find(name);
-    if (it == reached_by.end() || it->second.size() < 2) continue;
-    std::string ctxs;
-    for (const std::string& r : it->second) {
-      if (!ctxs.empty()) ctxs += ", ";
-      ctxs += r;
-    }
-    out.push_back({C.path, C.line, "cross-shard",
-                   "'" + name + "' is reachable from queue contexts {" +
-                       ctxs + "}",
-                   false});
-  }
-}
-
-// Node set for the emitted map: contexts, shard-affine classes, boundary
-// classes, plus any class a context reaches that leads onward to affine
-// state (e.g. an unannotated aggregate sitting between a context and its
-// annotated internals). Pure leaf plumbing stays out.
-std::set<std::string> map_nodes(
-    const ClassTable& classes, const OwnershipGraph& g,
-    const std::map<std::string, std::set<std::string>>& reached_by) {
-  std::set<std::string> leads_to_affine;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& [name, C] : classes) {
-      if (leads_to_affine.count(name) != 0) continue;
-      bool hit = C.affine;
-      for (const auto* adj : {&g.own, &g.touch}) {
-        if (hit) break;
-        const auto it = adj->find(name);
-        if (it == adj->end()) continue;
-        for (const std::string& nx : it->second)
-          if (leads_to_affine.count(nx) != 0) {
-            hit = true;
-            break;
-          }
-      }
-      if (hit) {
-        leads_to_affine.insert(name);
-        changed = true;
-      }
-    }
-  }
-  std::set<std::string> nodes;
-  for (const auto& [name, C] : classes) {
-    if (C.queue_context || C.affine || boundary_classes().count(name) != 0)
-      nodes.insert(name);
-    else if (reached_by.count(name) != 0 &&
-             leads_to_affine.count(name) != 0)
-      nodes.insert(name);
-  }
-  return nodes;
-}
-
-std::string base_name(const std::string& path) {
-  return fs::path(path).filename().string();
-}
-
-void emit_dot(std::ostream& os, const ClassTable& classes,
-              const OwnershipGraph& g, const std::set<std::string>& nodes) {
-  os << "digraph teco_ownership {\n"
-     << "  rankdir=LR;\n"
-     << "  node [fontsize=10];\n";
-  for (const std::string& n : nodes) {
-    const ClassInfo& C = classes.at(n);
-    if (C.queue_context) {
-      os << "  \"" << n << "\" [shape=box, penwidth=2, label=\"" << n
-         << "\\n(queue context)\"];\n";
-    } else if (boundary_classes().count(n) != 0) {
-      os << "  \"" << n << "\" [shape=diamond, style=dashed, label=\"" << n
-         << "\\n(boundary)\"];\n";
-    } else if (C.affine) {
-      os << "  \"" << n << "\" [shape=ellipse];\n";
-    } else {
-      os << "  \"" << n << "\" [shape=ellipse, style=dotted];\n";
-    }
-  }
-  auto edges = [&](const std::map<std::string, std::set<std::string>>& adj,
-                   const char* attrs) {
-    for (const auto& [from, tos] : adj) {
-      if (nodes.count(from) == 0) continue;
-      for (const std::string& to : tos) {
-        if (nodes.count(to) == 0) continue;
-        os << "  \"" << from << "\" -> \"" << to << "\"" << attrs << ";\n";
-      }
-    }
-  };
-  edges(g.own, "");
-  edges(g.uses, " [style=dashed]");
-  edges(g.touch, " [style=dotted, label=\"touch\"]");
-  os << "}\n";
-}
-
-void emit_json(std::ostream& os, const ClassTable& classes,
-               const OwnershipGraph& g, const std::set<std::string>& nodes,
-               const std::map<std::string, std::set<std::string>>&
-                   reached_by) {
-  os << "{\n  \"contexts\": [";
-  bool first = true;
-  for (const auto& [name, C] : classes) {
-    if (!C.queue_context) continue;
-    os << (first ? "" : ", ") << "\"" << name << "\"";
-    first = false;
-  }
-  os << "],\n  \"classes\": [\n";
-  first = true;
-  for (const std::string& n : nodes) {
-    const ClassInfo& C = classes.at(n);
-    if (!first) os << ",\n";
-    first = false;
-    os << "    {\"name\": \"" << n << "\", \"file\": \"" << base_name(C.path)
-       << "\", \"affine\": " << (C.affine ? "true" : "false")
-       << ", \"queue_context\": " << (C.queue_context ? "true" : "false")
-       << ", \"boundary\": "
-       << (boundary_classes().count(n) != 0 ? "true" : "false")
-       << ", \"contexts\": [";
-    const auto it = reached_by.find(n);
-    if (it != reached_by.end()) {
-      bool f2 = true;
-      for (const std::string& r : it->second) {
-        os << (f2 ? "" : ", ") << "\"" << r << "\"";
-        f2 = false;
-      }
-    }
-    os << "]}";
-  }
-  os << "\n  ],\n  \"edges\": [\n";
-  first = true;
-  auto edges = [&](const std::map<std::string, std::set<std::string>>& adj,
-                   const char* kind) {
-    for (const auto& [from, tos] : adj) {
-      if (nodes.count(from) == 0) continue;
-      for (const std::string& to : tos) {
-        if (nodes.count(to) == 0) continue;
-        if (!first) os << ",\n";
-        first = false;
-        os << "    {\"from\": \"" << from << "\", \"to\": \"" << to
-           << "\", \"kind\": \"" << kind << "\"}";
-      }
-    }
-  };
-  edges(g.own, "own");
-  edges(g.uses, "uses");
-  edges(g.touch, "touch");
-  os << "\n  ]\n}\n";
-}
-
-// ---------------------------------------------------------------------------
 // Driver.
 
 struct Summary {
@@ -1543,7 +616,6 @@ struct Summary {
 
 void apply_suppressions(const SourceFile& sf, std::vector<Finding>& fs) {
   for (Finding& f : fs) {
-    if (f.file != sf.path) continue;
     for (int l : {f.line, f.line - 1}) {
       const auto it = sf.allows.find(l);
       if (it != sf.allows.end() &&
@@ -1595,10 +667,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> paths;
   long max_suppressions = -1;
   bool summary = true;
-  std::set<std::string> enabled;  // empty = all rules
-  enum class MapMode { kOff, kStdout, kFiles };
-  MapMode map_mode = MapMode::kOff;
-  std::string map_prefix;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--list-rules") {
@@ -1608,38 +676,9 @@ int main(int argc, char** argv) {
       summary = false;
     } else if (a.rfind("--max-suppressions=", 0) == 0) {
       max_suppressions = std::stol(a.substr(19));
-    } else if (a.rfind("--rules=", 0) == 0) {
-      std::stringstream ss(a.substr(8));
-      std::string id;
-      while (std::getline(ss, id, ',')) {
-        id.erase(
-            std::remove_if(id.begin(), id.end(),
-                           [](unsigned char c) { return std::isspace(c); }),
-            id.end());
-        if (id.empty()) continue;
-        if (!known_rule(id)) {
-          std::cerr << "teco-lint: unknown rule '" << id
-                    << "' in --rules (valid: " << valid_rules_list()
-                    << ")\n";
-          return 2;
-        }
-        enabled.insert(id);
-      }
-    } else if (a == "--ownership-map") {
-      map_mode = MapMode::kStdout;
-    } else if (a.rfind("--ownership-map=", 0) == 0) {
-      map_mode = MapMode::kFiles;
-      map_prefix = a.substr(16);
     } else if (a == "--help" || a == "-h") {
-      std::cout
-          << "usage: teco_lint [--list-rules] [--no-summary]\n"
-             "                 [--max-suppressions=N] [--rules=a,b,...]\n"
-             "                 [--ownership-map[=PREFIX]] <file|dir>...\n"
-             "  --ownership-map        print the cross-shard ownership "
-             "graph as DOT and exit\n"
-             "  --ownership-map=PREFIX write PREFIX.dot and PREFIX.json, "
-             "then lint as usual\n"
-             "  --rules=a,b            run only the listed rules\n";
+      std::cout << "usage: teco_lint [--list-rules] [--no-summary]\n"
+                   "                 [--max-suppressions=N] <file|dir>...\n";
       return 0;
     } else if (a.rfind("--", 0) == 0) {
       std::cerr << "teco-lint: unknown flag " << a << "\n";
@@ -1652,9 +691,6 @@ int main(int argc, char** argv) {
     std::cerr << "usage: teco_lint [flags] <file|dir>...\n";
     return 2;
   }
-  const auto rule_on = [&enabled](const char* id) {
-    return enabled.empty() || enabled.count(id) != 0;
-  };
 
   std::vector<SourceFile> sources;
   for (const std::string& p : expand_paths(paths)) {
@@ -1673,24 +709,15 @@ int main(int argc, char** argv) {
     sources.push_back(std::move(sf));
   }
 
-  // Pass A: the whole-scan symbol table. A1 registers every class before
-  // A2 merges out-of-line definitions, so a .cpp scanned before its header
-  // still resolves.
-  ClassTable classes;
-  for (SourceFile& sf : sources) collect_classes(sf, classes);
-  for (SourceFile& sf : sources) collect_out_of_line(sf, classes);
-
-  // Pass B: rules. Include visibility for the determinism rules: a file
-  // sees its own declarations plus those of any scanned file whose path
-  // ends with one of its #include "..." paths.
+  // Include visibility: a file sees its own declarations plus those of
+  // any scanned file whose path ends with one of its #include "..." paths.
   std::vector<Finding> all;
   Summary sum;
   for (const RuleInfo& r : kRules) {
     sum.findings[r.id] = 0;
     sum.suppressed[r.id] = 0;
   }
-  std::set<std::pair<std::string, std::string>> touches;
-  for (SourceFile& sf : sources) {
+  for (const SourceFile& sf : sources) {
     Visibility vis;
     auto merge = [&vis](const SourceFile& s) {
       vis.unordered_vars.insert(s.unordered_vars.begin(),
@@ -1714,48 +741,8 @@ int main(int argc, char** argv) {
     scan_loops(sf, vis, fs);
     scan_wallclock(sf, fs);
     scan_ptr_order(sf, vis, fs);
-    scan_queue_lambdas(sf, classes, fs, touches);
-    fs.erase(std::remove_if(fs.begin(), fs.end(),
-                            [&](const Finding& f) {
-                              return !rule_on(f.rule.c_str());
-                            }),
-             fs.end());
     apply_suppressions(sf, fs);
     all.insert(all.end(), fs.begin(), fs.end());
-  }
-
-  // Whole-scan rules: CausalSink coverage and cross-shard reachability.
-  const OwnershipGraph graph = build_graph(classes, touches);
-  const auto reached_by = reach_contexts(classes, graph);
-  {
-    std::vector<Finding> fs;
-    scan_cross_shard(classes, reached_by, fs);
-    fs.erase(std::remove_if(fs.begin(), fs.end(),
-                            [&](const Finding& f) {
-                              return !rule_on(f.rule.c_str());
-                            }),
-             fs.end());
-    for (const SourceFile& sf : sources) apply_suppressions(sf, fs);
-    all.insert(all.end(), fs.begin(), fs.end());
-  }
-
-  if (map_mode != MapMode::kOff) {
-    const std::set<std::string> nodes = map_nodes(classes, graph, reached_by);
-    if (map_mode == MapMode::kStdout) {
-      emit_dot(std::cout, classes, graph, nodes);
-      return 0;
-    }
-    std::ofstream dot(map_prefix + ".dot");
-    std::ofstream js(map_prefix + ".json");
-    if (!dot || !js) {
-      std::cerr << "teco-lint: cannot write ownership map to " << map_prefix
-                << ".{dot,json}\n";
-      return 2;
-    }
-    emit_dot(dot, classes, graph, nodes);
-    emit_json(js, classes, graph, nodes, reached_by);
-    std::cerr << "teco-lint: ownership map written to " << map_prefix
-              << ".dot and " << map_prefix << ".json\n";
   }
 
   std::sort(all.begin(), all.end(), [](const Finding& a, const Finding& b) {
